@@ -81,8 +81,8 @@ class ScriptArtifact:
 
     @property
     def bytecode_heap_bytes(self) -> int:
-        """Total heap charge a session books for this script's bytecode
-        (same formula the engine has always used, summed over the tree)."""
+        """Heap charge a session books for this script's bytecode, summed
+        over the code tree."""
         return sum(
             16 * len(nested.instructions)
             + 8 * len(nested.constants)

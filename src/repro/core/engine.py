@@ -32,9 +32,7 @@ Example::
     assert ric.ic_miss_rate < conventional.ic_miss_rate
 
 The state of the most recent run is exposed as :attr:`last_run` — a
-:class:`~repro.core.session.RunSession` handle.  The old private
-``_last_runtime``/``_last_feedback`` attributes still work but are
-deprecated shims over it.
+:class:`~repro.core.session.RunSession` handle.
 """
 
 from __future__ import annotations
@@ -42,30 +40,20 @@ from __future__ import annotations
 import random
 import threading
 import typing
-import warnings
 
 from repro.bytecode.cache import CodeCache
 from repro.bytecode.code import CodeObject
 from repro.core.artifacts import ArtifactBuilder, ArtifactCache
 from repro.core.budget import CancelToken, ExecutionBudget
 from repro.core.config import RICConfig
-from repro.core.session import RunSession, admit_record
+from repro.core.session import RunSession
 from repro.ric.errors import CorruptRecord
 from repro.ric.icrecord import ICRecord
 from repro.stats.counters import Counters
 from repro.stats.profile import RunProfile
 
-if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.ic.icvector import FeedbackState
-    from repro.runtime.context import Runtime
-
 #: A workload: list of (filename, source) scripts executed in order.
 Scripts = typing.Sequence[typing.Tuple[str, str]]
-
-_LAST_RUNTIME_DEPRECATION = (
-    "Engine.{name} is deprecated; use engine.last_run.{attr} "
-    "(the RunSession handle of the most recent run) instead"
-)
 
 
 class Engine:
@@ -221,28 +209,6 @@ class Engine:
         return self._last_run
 
     @property
-    def _last_runtime(self) -> "Runtime | None":
-        warnings.warn(
-            _LAST_RUNTIME_DEPRECATION.format(name="_last_runtime", attr="runtime"),
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._last_run.runtime if self._last_run is not None else None
-
-    @property
-    def _last_feedback(self) -> "FeedbackState | None":
-        warnings.warn(
-            _LAST_RUNTIME_DEPRECATION.format(name="_last_feedback", attr="feedback"),
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._last_run.feedback if self._last_run is not None else None
-
-    @property
-    def _last_script_keys(self) -> list:
-        return list(self._last_run.script_keys) if self._last_run else []
-
-    @property
     def _last_scripts(self) -> list:
         return list(self._last_run.scripts) if self._last_run else []
 
@@ -308,16 +274,6 @@ class Engine:
             counters = Counters()  # throwaway sink; remote stats still tally
         return self._store_roundtrip(counters, publish)
 
-    # -- record admission ---------------------------------------------------
-
-    def _admit_record(
-        self,
-        candidate: "ICRecord | CorruptRecord",
-        counters: Counters,
-    ) -> "ICRecord | None":
-        """Gate one candidate record (see :func:`repro.core.session.admit_record`)."""
-        return admit_record(candidate, self.config, counters)
-
     # -- extraction ---------------------------------------------------------
 
     def extract_icrecord(self) -> ICRecord:
@@ -329,7 +285,7 @@ class Engine:
     def extract_per_script_records(self) -> dict:
         """Per-file ICRecords from the most recent execution (paper §9:
         RIC information is maintained per JavaScript file and shareable
-        across applications).  See :mod:`repro.ric.store`."""
+        across applications).  See :mod:`repro.ric.extraction`."""
         if self._last_run is None:
             raise RuntimeError("no completed run to extract from; call run() first")
         return self._last_run.extract_per_script_records()

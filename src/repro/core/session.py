@@ -36,7 +36,7 @@ from repro.ic.icvector import FeedbackState
 from repro.ic.miss import ICRuntime
 from repro.interpreter.vm import VM
 from repro.ric.errors import CorruptRecord, RecordFormatError
-from repro.ric.extraction import extract_icrecord
+from repro.ric.extraction import extract_icrecord, extract_per_script_records
 from repro.ric.icrecord import ICRecord
 from repro.ric.reuse import MultiReuseSession, ReuseSession
 from repro.ric.validate import validate_record
@@ -195,17 +195,11 @@ class RunSession:
 
         # Register every script's feedback vectors *before* builtins are
         # created: builtin validation may preload sites anywhere in the
-        # workload.  Heap charges mirror what compilation would book
-        # (quickening is 1:1, so the charge is identical either way).
-        for code in self.exec_codes:
+        # workload.  Each script books its artifact's bytecode charge
+        # (quickening is 1:1, so it fits whichever code tree runs).
+        for artifact, code in zip(self.artifacts, self.exec_codes):
             self.feedback.register_script(code)
-            for nested in code.iter_code_objects():
-                self.runtime.heap.charge(
-                    "bytecode",
-                    16 * len(nested.instructions)
-                    + 8 * len(nested.constants)
-                    + 24 * len(nested.feedback_slots),
-                )
+            self.runtime.heap.charge("bytecode", artifact.bytecode_heap_bytes)
         counters_.specialized_sites = sum(
             count_specialized_sites(code) for code in self.exec_codes
         )
@@ -326,8 +320,6 @@ class RunSession:
 
     def extract_per_script_records(self) -> dict:
         """Per-file ICRecords from this session (paper §9)."""
-        from repro.ric.store import extract_per_script_records
-
         records = extract_per_script_records(
             self.runtime, self.feedback, config=self.config
         )

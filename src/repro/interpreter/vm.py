@@ -50,6 +50,8 @@ is identical between the two loops, including on the abort path.
 
 from __future__ import annotations
 
+import operator as _operator
+import sys as _sys
 import time
 import typing
 
@@ -62,7 +64,7 @@ from repro.ic.icvector import FeedbackState, ICState
 from repro.ic.miss import ICRuntime
 from repro.interpreter import cost_model as cost
 from repro.interpreter.frames import Environment, ForInIterator, Frame, GuestThrow
-from repro.lang.errors import JSLRuntimeError, JSLTypeError
+from repro.lang.errors import JSLRuntimeError
 from repro.runtime.context import Runtime
 from repro.runtime.objects import JSArray, JSFunction, JSObject
 from repro.runtime.values import (
@@ -105,8 +107,6 @@ _MONOMORPHIC = ICState.MONOMORPHIC
 #: guards admit only float pairs, for which Python's comparisons match
 #: jsl's exactly (NaN compares false to everything and unequal to
 #: itself; -0.0 == 0.0) and loose/strict equality coincide.
-import operator as _operator
-
 _CMP_FUNCS = {
     int(BinOp.EQ): _operator.eq,
     int(BinOp.NEQ): _operator.ne,
@@ -120,8 +120,6 @@ _CMP_FUNCS = {
 
 # Each guest call consumes several host frames; make sure the guest hits its
 # own MAX_CALL_DEPTH RangeError before Python's recursion limit.
-import sys as _sys
-
 if _sys.getrecursionlimit() < 20_000:
     _sys.setrecursionlimit(20_000)
 
@@ -366,8 +364,7 @@ class VM:
     def _execute(self, frame: Frame) -> object:
         if self._meter is not None:
             return self._execute_governed(frame)
-        code = frame.code
-        threaded = self._threaded(code)
+        threaded = self._threaded(frame.code)
         counters = self.counters
 
         pc = 0
@@ -381,42 +378,8 @@ class VM:
                     pc = handler(frame, a, b, pc + 1)
                     if pc < 0:
                         return frame.return_value
-                except GuestThrow as thrown:
-                    if not frame.try_stack:
-                        if thrown.position is None:
-                            thrown.position = code.position_at(pc)
-                        thrown.trace.append(
-                            f"at {code.name} ({code.position_at(pc)})"
-                        )
-                        raise
-                    target, depth = frame.try_stack.pop()
-                    stack = frame.stack
-                    del stack[depth:]
-                    stack.append(thrown.value)
-                    pc = target
-                except JSLRuntimeError as error:
-                    # Engine-level errors become catchable guest Error objects
-                    # named like their JS counterparts (JSLTypeError ->
-                    # TypeError).
-                    if not frame.try_stack:
-                        if error.position is None:
-                            error.position = code.position_at(pc)
-                        if not hasattr(error, "guest_trace"):
-                            error.guest_trace = []  # type: ignore[attr-defined]
-                        error.guest_trace.append(  # type: ignore[attr-defined]
-                            f"at {code.name} ({code.position_at(pc)})"
-                        )
-                        raise
-                    target, depth = frame.try_stack.pop()
-                    stack = frame.stack
-                    del stack[depth:]
-                    name = type(error).__name__
-                    if name.startswith("JSL"):
-                        name = name[3:]
-                    if name == "RuntimeError":
-                        name = "Error"
-                    stack.append(self._make_guest_error(name, error.message))
-                    pc = target
+                except (GuestThrow, JSLRuntimeError) as error:
+                    pc = self._unwind(frame, pc, error)
         finally:
             counters.dispatches += dispatched
             counters.charge(CATEGORY_EXECUTE, cost.DISPATCH * dispatched)
@@ -432,8 +395,7 @@ class VM:
         nested frames.  Counter accounting (``dispatches``, DISPATCH
         charges) matches the ungoverned loop bytecode-for-bytecode.
         """
-        code = frame.code
-        threaded = self._threaded(code)
+        threaded = self._threaded(frame.code)
         counters = self.counters
         meter = self._meter
         assert meter is not None
@@ -456,45 +418,53 @@ class VM:
                     pc = handler(frame, a, b, pc + 1)
                     if pc < 0:
                         return frame.return_value
-                except GuestThrow as thrown:
-                    if not frame.try_stack:
-                        if thrown.position is None:
-                            thrown.position = code.position_at(pc)
-                        thrown.trace.append(
-                            f"at {code.name} ({code.position_at(pc)})"
-                        )
-                        raise
-                    target, depth = frame.try_stack.pop()
-                    stack = frame.stack
-                    del stack[depth:]
-                    stack.append(thrown.value)
-                    pc = target
-                except JSLRuntimeError as error:
-                    if not frame.try_stack:
-                        if error.position is None:
-                            error.position = code.position_at(pc)
-                        if not hasattr(error, "guest_trace"):
-                            error.guest_trace = []  # type: ignore[attr-defined]
-                        error.guest_trace.append(  # type: ignore[attr-defined]
-                            f"at {code.name} ({code.position_at(pc)})"
-                        )
-                        raise
-                    target, depth = frame.try_stack.pop()
-                    stack = frame.stack
-                    del stack[depth:]
-                    name = type(error).__name__
-                    if name.startswith("JSL"):
-                        name = name[3:]
-                    if name == "RuntimeError":
-                        name = "Error"
-                    stack.append(self._make_guest_error(name, error.message))
-                    pc = target
+                except (GuestThrow, JSLRuntimeError) as error:
+                    pc = self._unwind(frame, pc, error)
         finally:
             counters.dispatches += dispatched
             counters.charge(CATEGORY_EXECUTE, cost.DISPATCH * dispatched)
             # Quiet credit: checking here could raise while another
             # exception is already unwinding and mask it.
             meter.note_steps_quiet(dispatched - flushed)
+
+    def _unwind(
+        self, frame: Frame, pc: int, error: "GuestThrow | JSLRuntimeError"
+    ) -> int:
+        """Route an exception raised at ``pc`` to the frame's innermost
+        ``try`` handler and return the handler's pc.
+
+        With no handler in this frame, the frame is appended to the
+        error's guest trace and the error re-raised to the caller's frame.
+        Engine-level errors become catchable guest Error objects named
+        like their JS counterparts (JSLTypeError -> TypeError).  Both
+        dispatch loops share this cold path.
+        """
+        if not frame.try_stack:
+            code = frame.code
+            where = code.position_at(pc)
+            if error.position is None:
+                error.position = where
+            if isinstance(error, GuestThrow):
+                trace = error.trace
+            else:
+                if not hasattr(error, "guest_trace"):
+                    error.guest_trace = []  # type: ignore[attr-defined]
+                trace = error.guest_trace  # type: ignore[attr-defined]
+            trace.append(f"at {code.name} ({where})")
+            raise error
+        target, depth = frame.try_stack.pop()
+        stack = frame.stack
+        del stack[depth:]
+        if isinstance(error, GuestThrow):
+            stack.append(error.value)
+        else:
+            name = type(error).__name__
+            if name.startswith("JSL"):
+                name = name[3:]
+            if name == "RuntimeError":
+                name = "Error"
+            stack.append(self._make_guest_error(name, error.message))
+        return target
 
     # -- dispatch handlers -------------------------------------------------------
     #

@@ -11,14 +11,10 @@ failures raise the single typed :class:`RecordFormatError`.
 """
 
 from repro.ric.errors import CorruptRecord, RecordFormatError
-from repro.ric.extraction import extract_icrecord
+from repro.ric.extraction import extract_icrecord, extract_per_script_records
 from repro.ric.icrecord import DependentEntry, HCVTRow, ICRecord, ToastPair
 from repro.ric.reuse import MultiReuseSession, ReuseSession
-from repro.ric.store import (
-    RecordStore,
-    RecordStoreProtocol,
-    extract_per_script_records,
-)
+from repro.ric.store import RecordStore, RecordStoreProtocol
 from repro.ric.serialize import (
     ICRECORD_FORMAT_VERSION,
     load_icrecord,

@@ -113,10 +113,6 @@ def parse_endpoint(spec) -> "tuple[str, object]":
     return ("unix", text)
 
 
-def is_tcp_endpoint(spec) -> bool:
-    return parse_endpoint(spec)[0] == "tcp"
-
-
 def format_endpoint(kind: str, address) -> str:
     """Render a parsed endpoint back to its canonical dialable spec."""
     if kind == "tcp":

@@ -198,16 +198,54 @@ class TestGovernanceTransparency:
         "console.log(total);\n"
     )
 
-    def test_counters_identical_governed_vs_ungoverned(self):
-        plain = Engine(seed=5).run([("w.jsl", self.SOURCE)], name="w")
-        governed = Engine(seed=5).run(
-            [("w.jsl", self.SOURCE)],
-            name="w",
-            budget=ExecutionBudget(max_steps=10**9, check_stride=64),
+    #: Exercises both loops' shared exception unwind: a guest ``throw``
+    #: unwinding out of a callee, a guest TypeError (``null.x``) and an
+    #: engine-level TypeError caught in place, then an engine
+    #: ReferenceError escaping three frames uncaught.
+    THROWING_SOURCE = (
+        "function thrower(n) { throw new Error('guest ' + n); }\n"
+        "var caught = [];\n"
+        "try { thrower(1); } catch (e) { caught.push(e.message); }\n"
+        "try { var v = null; v.x; } catch (e) { caught.push(e.name); }\n"
+        "try { Object.keys(null); } catch (e) { caught.push(e.name); }\n"
+        "console.log(caught.join('|'));\n"
+        "function inner() { return missingName + 1; }\n"
+        "function outer() { return inner(); }\n"
+        "outer();\n"
+    )
+
+    @staticmethod
+    def _observe(source, budget=None):
+        """(output, counters, error message, guest trace) of one run."""
+        engine = Engine(seed=5)
+        error = None
+        try:
+            engine.run([("w.jsl", source)], name="w", budget=budget)
+        except JSLError as raised:
+            error = raised
+        session = engine.last_run
+        return (
+            list(session.runtime.console_output),
+            session.counters.as_dict(),
+            None if error is None else str(error),
+            getattr(error, "guest_trace", None),
         )
-        assert governed.console_output == plain.console_output
-        for key, value in plain.counters.as_dict().items():
-            assert governed.counters.as_dict()[key] == value, key
+
+    def test_counters_identical_governed_vs_ungoverned(self):
+        for source in (self.SOURCE, self.THROWING_SOURCE):
+            plain = self._observe(source)
+            governed = self._observe(
+                source, ExecutionBudget(max_steps=10**9, check_stride=64)
+            )
+            assert governed == plain
+        output, _, message, trace = plain
+        assert output == ["guest 1|TypeError|TypeError"]
+        assert "missingName is not defined" in message
+        assert trace == [
+            "at inner (w.jsl:7:20)",
+            "at outer (w.jsl:8:20)",
+            "at <toplevel> (w.jsl:9:1)",
+        ]
 
     def test_stride_does_not_change_counters(self):
         baseline = None

@@ -73,15 +73,6 @@ class TestEngineRuns:
         assert session.feedback is not None
         assert session.profile is not None and session.profile.name == "t"
 
-    def test_deprecated_last_runtime_shims_still_work(self, engine):
-        engine.run(SOURCE, name="t")
-        with pytest.warns(DeprecationWarning, match="last_run"):
-            runtime = engine._last_runtime
-        assert runtime is engine.last_run.runtime
-        with pytest.warns(DeprecationWarning, match="last_run"):
-            feedback = engine._last_feedback
-        assert feedback is engine.last_run.feedback
-
     def test_uncaught_guest_error_becomes_runtime_error(self, engine):
         with pytest.raises(JSLRuntimeError, match="uncaught"):
             engine.run("throw new Error('kaput');", name="bad")

@@ -6,11 +6,8 @@ from pathlib import Path
 import pytest
 
 from repro.core.engine import Engine
-from repro.ric.store import (
-    RecordStore,
-    extract_per_script_records,
-    filename_of_creation_key,
-)
+from repro.ric.icrecord import filename_of_creation_key
+from repro.ric.store import RecordStore
 
 LIB_SOURCE = """
 var lib = (function () {
@@ -90,6 +87,45 @@ class TestPerScriptExtraction:
     def test_requires_a_run(self, engine):
         with pytest.raises(RuntimeError):
             engine.extract_per_script_records()
+
+
+AMBIGUOUS_SOURCE = """
+function make() { function P(x) { this.x = x; this.y = x; } return P; }
+var A = make(), B = make();
+var a = new A(1), b = new B(2);
+function rd(o) { return o.x + o.y; }
+console.log(rd(a) + rd(b));
+"""
+
+
+class TestAmbiguityRule:
+    """One creation key that produced two hidden classes (two closures of
+    the same constructor) cannot identify its class, so both extractors
+    drop that TOAST signature — and only that."""
+
+    KEY = "ctor:lib.jsl:2:19#P:0"
+
+    def test_ambiguous_key_dropped_from_both_records(self):
+        engine = Engine(seed=5)
+        engine.run([("lib.jsl", AMBIGUOUS_SOURCE)], name="amb")
+        creations = [
+            hc
+            for hc in engine.last_run.runtime.hidden_classes.all_classes
+            if hc.creation_key == self.KEY
+        ]
+        assert len(creations) == 2
+        whole = engine.extract_icrecord()
+        per_file = engine.extract_per_script_records()["lib.jsl"]
+        assert self.KEY not in whole.toast
+        assert self.KEY not in per_file.toast
+
+        runs = [
+            engine.run([("lib.jsl", AMBIGUOUS_SOURCE)], name="amb", icrecord=record)
+            for record in (whole, per_file)
+        ]
+        assert [run.console_output for run in runs] == [["6"], ["6"]]
+        assert runs[0].counters.ric_preloads == runs[1].counters.ric_preloads
+        assert runs[0].counters.ic_misses == runs[1].counters.ic_misses
 
 
 class TestCrossApplicationReuse:
