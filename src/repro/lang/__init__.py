@@ -14,7 +14,7 @@ from repro.lang.errors import (
     JSLTypeError,
     SourcePosition,
 )
-from repro.lang.lexer import Lexer, tokenize
+from repro.lang.lexer import tokenize
 from repro.lang.parser import Parser, parse
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "JSLRuntimeError",
     "JSLSyntaxError",
     "JSLTypeError",
-    "Lexer",
     "Parser",
     "SourcePosition",
     "parse",

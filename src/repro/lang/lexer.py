@@ -1,12 +1,22 @@
-"""Hand-written scanner for jsl source code.
+"""Regex scanner for jsl source code.
 
-The lexer is a single pass over the source text producing a list of
-:class:`~repro.lang.tokens.Token`.  It tracks line and column so every token
-(and hence every object access site) gets a stable
-:class:`~repro.lang.errors.SourcePosition`.
+One compiled master pattern matches the next token, together with the
+whitespace and comments before it, at the current offset.  Line and column
+come from a table of line-start offsets (``bisect``), so the scan never
+tracks them per character, and every :class:`~repro.lang.tokens.Token` still
+gets a stable :class:`~repro.lang.errors.SourcePosition`.
+
+The master pattern is ASCII-only.  Where it cannot decide a token on its own
+(an escape in a string, a non-ASCII character next to a number or name, any
+error) it matches its empty ``slow`` alternative, and :func:`_scan_slow`
+scans that one token by the ``str.isdigit``/``isalpha``/``isalnum`` rules.
 """
 
 from __future__ import annotations
+
+import re
+from bisect import bisect_right
+from typing import Callable
 
 from repro.lang.errors import JSLSyntaxError, SourcePosition
 from repro.lang.tokens import KEYWORDS, Token, TokenKind
@@ -19,259 +29,177 @@ _ESCAPES = {
     "f": "\f",
     "v": "\v",
     "0": "\0",
-    "\\": "\\",
-    "'": "'",
-    '"': '"',
-    "`": "`",
     "\n": "",  # line continuation
 }
 
-# Multi-character operators, longest first so maximal munch works.
-_OPERATORS = [
-    (">>>", TokenKind.USHR),
-    ("===", TokenKind.STRICT_EQ),
-    ("!==", TokenKind.STRICT_NEQ),
-    ("<<", TokenKind.SHL),
-    (">>", TokenKind.SHR),
-    ("==", TokenKind.EQ),
-    ("!=", TokenKind.NEQ),
-    ("<=", TokenKind.LE),
-    (">=", TokenKind.GE),
-    ("&&", TokenKind.AND),
-    ("||", TokenKind.OR),
-    ("++", TokenKind.PLUS_PLUS),
-    ("--", TokenKind.MINUS_MINUS),
-    ("+=", TokenKind.PLUS_ASSIGN),
-    ("-=", TokenKind.MINUS_ASSIGN),
-    ("*=", TokenKind.STAR_ASSIGN),
-    ("/=", TokenKind.SLASH_ASSIGN),
-    ("%=", TokenKind.PERCENT_ASSIGN),
-    ("(", TokenKind.LPAREN),
-    (")", TokenKind.RPAREN),
-    ("{", TokenKind.LBRACE),
-    ("}", TokenKind.RBRACE),
-    ("[", TokenKind.LBRACKET),
-    ("]", TokenKind.RBRACKET),
-    (";", TokenKind.SEMICOLON),
-    (",", TokenKind.COMMA),
-    (".", TokenKind.DOT),
-    (":", TokenKind.COLON),
-    ("?", TokenKind.QUESTION),
-    ("=", TokenKind.ASSIGN),
-    ("+", TokenKind.PLUS),
-    ("-", TokenKind.MINUS),
-    ("*", TokenKind.STAR),
-    ("/", TokenKind.SLASH),
-    ("%", TokenKind.PERCENT),
-    ("<", TokenKind.LT),
-    (">", TokenKind.GT),
-    ("!", TokenKind.NOT),
-    ("&", TokenKind.BIT_AND),
-    ("|", TokenKind.BIT_OR),
-    ("^", TokenKind.BIT_XOR),
-    ("~", TokenKind.BIT_NOT),
-]
+#: Operator and punctuation spellings, longest first so maximal munch works.
+_OPERATORS = {kind.value: kind for kind in TokenKind if not kind.value.isalpha()}
+_SPELLINGS = sorted(_OPERATORS, key=len, reverse=True)
+_WORD_KINDS = {**_OPERATORS, **KEYWORDS}  # anything else a word matches is IDENT
+# A "/" before "*" opens an unterminated comment; a "." before a digit or a
+# non-ASCII character may start a number.  Both go to the slow scanner.
+_OPERATOR_GUARDS = {"/": r"(?!\*)", ".": r"(?![0-9]|[^\x00-\x7f])"}
 
+# The pattern never backtracks into a shorter token: a name must end before
+# any name character, the number is an atomic group (a lookahead capture plus
+# backreference, the spelling every supported Python accepts), and the empty
+# last alternative ("slow") matches whenever nothing else does, so the engine
+# never backtracks into the trivia either (where it could find a name inside
+# a comment).
+_MASTER = re.compile(
+    r"(?:[ \t\r\n]+|//[^\n]*|/\*[\s\S]*?\*/)*(?:"
+    + "|".join(
+        [
+            r"(?P<word>[A-Za-z_$][A-Za-z0-9_$]*(?![\w$]|[^\x00-\x7f])|"
+            + "|".join(re.escape(s) + _OPERATOR_GUARDS.get(s, "") for s in _SPELLINGS)
+            + ")",
+            r"""(?P<string>"[^"\\\n]*"|'[^'\\\n]*')""",
+            r"(?P<hex>0[xX][0-9a-fA-F]*)",  # before number, which would take the "0"
+            r"(?=(?P<number>(?:[0-9]+(?:\.(?:[0-9]+|(?![A-Za-z_$]|[^\x00-\x7f])))?"
+            r"|\.[0-9]+)(?:[eE][+-]?[0-9]+)?))(?P=number)"
+            r"(?![eE]|[^\x00-\x7f]|\.[^\x00-\x7f])",
+            r"\Z",
+            "(?P<slow>)",
+        ]
+    )
+    + ")"
+)
+_WORD, _STRING, _HEX, _NUMBER, _SLOW = (
+    _MASTER.groupindex[name] for name in ("word", "string", "hex", "number", "slow")
+)
 
-class Lexer:
-    """Tokenizes one jsl source file."""
-
-    def __init__(self, source: str, filename: str = "<script>"):
-        self._source = source
-        self._filename = filename
-        self._pos = 0
-        self._line = 1
-        self._col = 1
-
-    def tokenize(self) -> list[Token]:
-        """Scan the whole input and return its tokens, ending with EOF."""
-        tokens: list[Token] = []
-        while True:
-            token = self._next_token()
-            tokens.append(token)
-            if token.kind is TokenKind.EOF:
-                return tokens
-
-    # -- internals ---------------------------------------------------------
-
-    def _position(self) -> SourcePosition:
-        return SourcePosition(self._filename, self._line, self._col)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index >= len(self._source):
-            return ""
-        return self._source[index]
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self._pos >= len(self._source):
-                return
-            if self._source[self._pos] == "\n":
-                self._line += 1
-                self._col = 1
-            else:
-                self._col += 1
-            self._pos += 1
-
-    def _skip_trivia(self) -> None:
-        """Skip whitespace and comments."""
-        while self._pos < len(self._source):
-            char = self._peek()
-            if char in " \t\r\n":
-                self._advance()
-            elif char == "/" and self._peek(1) == "/":
-                while self._pos < len(self._source) and self._peek() != "\n":
-                    self._advance()
-            elif char == "/" and self._peek(1) == "*":
-                start = self._position()
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if self._pos >= len(self._source):
-                        raise JSLSyntaxError("unterminated block comment", start)
-                    self._advance()
-                self._advance(2)
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        position = self._position()
-        char = self._peek()
-
-        if not char:
-            return Token(TokenKind.EOF, None, position)
-        if char.isdigit() or (char == "." and self._peek(1).isdigit()):
-            return self._scan_number(position)
-        if char.isalpha() or char in "_$":
-            return self._scan_identifier(position)
-        if char in "'\"":
-            return self._scan_string(position)
-
-        for spelling, kind in _OPERATORS:
-            if self._source.startswith(spelling, self._pos):
-                self._advance(len(spelling))
-                return Token(kind, spelling, position)
-
-        raise JSLSyntaxError(f"unexpected character {char!r}", position)
-
-    def _scan_number(self, position: SourcePosition) -> Token:
-        start = self._pos
-        if self._peek() == "0" and self._peek(1) in ("x", "X"):
-            self._advance(2)
-            if not self._is_hex_digit(self._peek()):
-                raise JSLSyntaxError("malformed hex literal", position)
-            while self._is_hex_digit(self._peek()):
-                self._advance()
-            text = self._source[start:self._pos]
-            return Token(TokenKind.NUMBER, float(int(text, 16)), position)
-
-        while self._peek().isdigit():
-            self._advance()
-        if self._peek() == "." and self._peek(1).isdigit():
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        elif self._peek() == ".":
-            # Trailing dot as in `1.` is a valid JS number.
-            next_char = self._peek(1)
-            if next_char and (next_char.isalpha() or next_char in "_$"):
-                pass  # `1.toString` style: leave the dot for member access
-            else:
-                self._advance()
-        if self._peek() and self._peek() in "eE":
-            self._advance()
-            if self._peek() and self._peek() in "+-":
-                self._advance()
-            if not self._peek().isdigit():
-                raise JSLSyntaxError("malformed exponent", position)
-            while self._peek().isdigit():
-                self._advance()
-        text = self._source[start:self._pos]
-        return Token(TokenKind.NUMBER, float(text), position)
-
-    @staticmethod
-    def _is_hex_digit(char: str) -> bool:
-        return bool(char) and char in "0123456789abcdefABCDEF"
-
-    def _scan_four_hex(self, position: SourcePosition) -> int:
-        """Consume exactly four hex digits (the payload of a \\u escape)."""
-        digits = "".join(self._peek(i) for i in range(4))
-        if len(digits) != 4 or not all(self._is_hex_digit(d) for d in digits):
-            raise JSLSyntaxError("malformed unicode escape", position)
-        self._advance(4)
-        return int(digits, 16)
-
-    def _scan_identifier(self, position: SourcePosition) -> Token:
-        start = self._pos
-        while True:
-            char = self._peek()
-            if not char or not (char.isalnum() or char in "_$"):
-                break
-            self._advance()
-        text = self._source[start:self._pos]
-        keyword = KEYWORDS.get(text)
-        if keyword is not None:
-            return Token(keyword, text, position)
-        return Token(TokenKind.IDENT, text, position)
-
-    def _scan_string(self, position: SourcePosition) -> Token:
-        quote = self._peek()
-        self._advance()
-        parts: list[str] = []
-        while True:
-            char = self._peek()
-            if not char or char == "\n":
-                raise JSLSyntaxError("unterminated string literal", position)
-            if char == quote:
-                self._advance()
-                return Token(TokenKind.STRING, "".join(parts), position)
-            if char == "\\":
-                self._advance()
-                escape = self._peek()
-                if escape == "u":
-                    self._advance()
-                    code_unit = self._scan_four_hex(position)
-                    # Combine UTF-16 surrogate pairs (𐀀 etc.) into
-                    # the astral code point, matching JS string semantics.
-                    if 0xD800 <= code_unit <= 0xDBFF and (
-                        self._peek() == "\\" and self._peek(1) == "u"
-                    ):
-                        mark_pos, mark_col = self._pos, self._col
-                        self._advance(2)
-                        low = self._scan_four_hex(position)
-                        if 0xDC00 <= low <= 0xDFFF:
-                            combined = 0x10000 + (
-                                (code_unit - 0xD800) << 10
-                            ) + (low - 0xDC00)
-                            parts.append(chr(combined))
-                            continue
-                        # Not a low surrogate: rewind (strings contain no
-                        # newlines, so restoring the column is enough).
-                        self._pos, self._col = mark_pos, mark_col
-                        parts.append(chr(code_unit))
-                        continue
-                    parts.append(chr(code_unit))
-                elif escape == "x":
-                    self._advance()
-                    digits = self._peek() + self._peek(1)
-                    if len(digits) != 2 or not all(
-                        self._is_hex_digit(d) for d in digits
-                    ):
-                        raise JSLSyntaxError("malformed hex escape", position)
-                    self._advance(2)
-                    parts.append(chr(int(digits, 16)))
-                elif escape in _ESCAPES:
-                    parts.append(_ESCAPES[escape])
-                    self._advance()
-                else:
-                    parts.append(escape)
-                    self._advance()
-            else:
-                parts.append(char)
-                self._advance()
+_NAME_REST = re.compile(r"[\w$]*")  # \w is exactly str.isalnum() plus "_"
+_STRING_RUN = {q: re.compile(rf"[^{q}\\\n]*") for q in "'\""}
+_HEX2 = re.compile("[0-9a-fA-F]{2}")
+_HEX4 = re.compile("[0-9a-fA-F]{4}")
 
 
 def tokenize(source: str, filename: str = "<script>") -> list[Token]:
-    """Convenience wrapper: tokenize ``source`` in one call."""
-    return Lexer(source, filename).tokenize()
+    """Scan ``source`` and return its tokens, ending with EOF."""
+    line_starts = [0]
+    line_starts += [m.end() for m in re.finditer("\n", source)]
+
+    def at(offset: int) -> SourcePosition:
+        line = bisect_right(line_starts, offset)
+        return SourcePosition(filename, line, offset - line_starts[line - 1] + 1)
+
+    match = _MASTER.match
+    new_token = tuple.__new__  # Token(...) without the Python-level __new__
+    tokens: list[Token] = []
+    pos = 0
+    while True:
+        m = match(source, pos)
+        group = m.lastindex
+        if group is None:  # only trivia left
+            tokens.append(Token(TokenKind.EOF, None, at(m.end())))
+            return tokens
+        start, pos = m.span(group)
+        value = m[group]
+        if group == _WORD:
+            kind = _WORD_KINDS.get(value, TokenKind.IDENT)
+        elif group == _NUMBER:
+            kind, value = TokenKind.NUMBER, float(value)
+        elif group == _STRING:
+            kind, value = TokenKind.STRING, value[1:-1]
+        elif group == _SLOW:
+            kind, value, pos = _scan_slow(source, start, at)
+        elif len(value) == 2:
+            raise JSLSyntaxError("malformed hex literal", at(start))
+        else:
+            kind, value = TokenKind.NUMBER, float(int(value, 16))
+        line = bisect_right(line_starts, start)  # at(start), inlined
+        column = start - line_starts[line - 1] + 1
+        tokens.append(
+            new_token(Token, (kind, value, SourcePosition(filename, line, column)))
+        )
+
+
+def _scan_slow(
+    source: str, pos: int, at: Callable[[int], SourcePosition]
+) -> tuple[TokenKind, object, int]:
+    """Scan the token at ``pos`` that the master pattern could not decide.
+
+    Returns ``(kind, value, end)`` or raises the token's
+    :class:`JSLSyntaxError`.
+    """
+    char = source[pos]
+    if source.startswith("/*", pos):
+        raise JSLSyntaxError("unterminated block comment", at(pos))
+    if char.isdigit() or (char == "." and source[pos + 1 : pos + 2].isdigit()):
+        # Never hex: the master pattern takes every "0x" itself.
+        end = _digits_end(source, pos)
+        if source[end : end + 1] == ".":
+            after = source[end + 1 : end + 2]
+            if after.isdigit():
+                end = _digits_end(source, end + 1)
+            elif not (after and (after.isalpha() or after in "_$")):
+                end += 1  # `1.` is a number; `1.x` leaves the dot to member access
+        if source[end : end + 1] in ("e", "E"):
+            end += 1 + (source[end + 1 : end + 2] in ("+", "-"))
+            if not source[end : end + 1].isdigit():
+                raise JSLSyntaxError("malformed exponent", at(pos))
+            end = _digits_end(source, end)
+        try:
+            return TokenKind.NUMBER, float(source[pos:end]), end
+        except ValueError:  # isdigit() but not a decimal digit, such as "²"
+            raise JSLSyntaxError("malformed number literal", at(pos)) from None
+    if char.isalpha() or char in "_$":
+        end = _NAME_REST.match(source, pos + 1).end()
+        name = source[pos:end]
+        return KEYWORDS.get(name, TokenKind.IDENT), name, end
+    if char in "'\"":
+        value, end = _scan_string(source, pos, at)
+        return TokenKind.STRING, value, end
+    for spelling in _SPELLINGS:
+        if source.startswith(spelling, pos):
+            return _OPERATORS[spelling], spelling, pos + len(spelling)
+    raise JSLSyntaxError(f"unexpected character {char!r}", at(pos))
+
+
+def _digits_end(source: str, pos: int) -> int:
+    while source[pos : pos + 1].isdigit():
+        pos += 1
+    return pos
+
+
+def _scan_string(
+    source: str, start: int, at: Callable[[int], SourcePosition]
+) -> tuple[str, int]:
+    """Decode the quoted string at ``start``; return its value and end offset."""
+    quote = source[start]
+    run = _STRING_RUN[quote].match
+
+    def hex_escape(pattern: re.Pattern, pos: int, what: str) -> int:
+        digits = pattern.match(source, pos)
+        if digits is None:
+            raise JSLSyntaxError(f"malformed {what} escape", at(start))
+        return int(digits[0], 16)
+
+    parts: list[str] = []
+    pos = start + 1
+    while True:
+        end = run(source, pos).end()
+        parts.append(source[pos:end])
+        char = source[end : end + 1]
+        if char == quote:
+            return "".join(parts), end + 1
+        if char != "\\":
+            raise JSLSyntaxError("unterminated string literal", at(start))
+        escape = source[end + 1 : end + 2]
+        pos = end + 2
+        if escape == "u":
+            code_unit = hex_escape(_HEX4, pos, "unicode")
+            pos += 4
+            # Combine a UTF-16 surrogate pair into the astral code point, as
+            # JS strings do; a high surrogate alone stays a lone code unit.
+            if 0xD800 <= code_unit <= 0xDBFF and source.startswith("\\u", pos):
+                low = hex_escape(_HEX4, pos + 2, "unicode")
+                if 0xDC00 <= low <= 0xDFFF:
+                    code_unit = 0x10000 + ((code_unit - 0xD800) << 10) + (low - 0xDC00)
+                    pos += 6
+            parts.append(chr(code_unit))
+        elif escape == "x":
+            parts.append(chr(hex_escape(_HEX2, pos, "hex")))
+            pos += 2
+        else:
+            parts.append(_ESCAPES.get(escape, escape))

@@ -228,6 +228,14 @@ class TestRunCli:
         script.write_text("var = ;")
         assert main([str(script)]) == EXIT_PARSE
 
+    def test_non_decimal_digit_is_a_parse_error(self, tmp_path, capsys):
+        from repro.harness.run_cli import EXIT_PARSE, main
+
+        script = tmp_path / "s.jsl"
+        script.write_text("var x = 1e\u00b2;", encoding="utf-8")
+        assert main([str(script)]) == EXIT_PARSE
+        assert "s.jsl:1:9: malformed number literal" in capsys.readouterr().err
+
     def test_trace_flag(self, tmp_path, capsys):
         from repro.harness.run_cli import main
 

@@ -53,6 +53,16 @@ class TestNumbers:
         with pytest.raises(JSLSyntaxError):
             tokenize("1e+")
 
+    @pytest.mark.parametrize(
+        "source,column",
+        [("²", 1), ("x = .²;", 5), ("var x = 1e²;", 9), ("a + 1.²", 5)],
+    )
+    def test_non_decimal_digit_is_a_syntax_error_at_token_start(self, source, column):
+        # "²".isdigit() is true but float() rejects it.
+        with pytest.raises(JSLSyntaxError, match="malformed number literal") as info:
+            tokenize(source)
+        assert (info.value.position.line, info.value.position.column) == (1, column)
+
 
 class TestStrings:
     def test_double_quoted(self):
@@ -168,6 +178,15 @@ class TestTriviaAndPositions:
     def test_unterminated_block_comment_raises(self):
         with pytest.raises(JSLSyntaxError):
             tokenize("a /* never closed")
+
+    def test_positions_after_multiline_comment_and_continuation(self):
+        tokens = tokenize('/* a\n b */ x "p\\\nq" y')
+        assert [(t.position.line, t.position.column) for t in tokens[:3]] == [
+            (2, 7),
+            (2, 9),
+            (3, 4),
+        ]
+        assert tokens[1].value == "pq"
 
     def test_positions_track_lines_and_columns(self):
         tokens = tokenize("a\n  bb\n    c")
