@@ -1,6 +1,6 @@
 """Bytecode layer: instruction set, compiler, code objects and code cache."""
 
-from repro.bytecode.cache import CodeCache, code_from_json, code_to_json, source_hash
+from repro.bytecode.cache import CodeCache, source_hash
 from repro.bytecode.code import CodeObject, FeedbackSlotInfo, SiteKind
 from repro.bytecode.compiler import Compiler, compile_source
 from repro.bytecode.disasm import disassemble
@@ -18,8 +18,6 @@ __all__ = [
     "optimize_code",
     "SiteKind",
     "UnOp",
-    "code_from_json",
-    "code_to_json",
     "compile_source",
     "disassemble",
     "source_hash",

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import struct
+
 import pytest
 
 from repro.bytecode.compiler import compile_source
@@ -107,6 +111,30 @@ def run_cold_and_reused(
         cold_state=cold_state,
         reused_state=reused_state,
     )
+
+
+def code_fingerprint(value: object) -> object:
+    """A deep, type-exact, bit-exact image of a code tree for equality.
+
+    Dataclass ``==`` alone cannot compare trees holding NaN constants
+    (``nan != nan``) and does not tell ``-0.0`` from ``0.0``, ``True``
+    from ``1`` or a tuple from a list; this image does.
+    """
+    if type(value) is float:
+        return ("float", struct.pack("<d", value))
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, tuple(code_fingerprint(v) for v in value))
+    if isinstance(value, enum.Enum):
+        return (type(value).__name__, value.name)
+    if dataclasses.is_dataclass(value):
+        return (
+            type(value).__name__,
+            tuple(
+                (field.name, code_fingerprint(getattr(value, field.name)))
+                for field in dataclasses.fields(value)
+            ),
+        )
+    return (type(value).__name__, value)
 
 
 def eval_jsl(expression: str, seed: int = 42) -> object:

@@ -1,13 +1,11 @@
 """Tests for the bytecode compiler, disassembler and code cache."""
 
-import json
-
 import pytest
 
 from repro.bytecode.cache import (
     CodeCache,
-    code_from_json,
-    code_to_json,
+    decode_code,
+    encode_code,
     source_hash,
 )
 from repro.bytecode.code import SiteKind
@@ -193,12 +191,14 @@ class TestCodeCache:
         source = "var x = 1;"
         cache = CodeCache(cache_dir=tmp_path)
         cache.store("a.jsl", source, compile_source(source, "a.jsl"))
-        for path in tmp_path.glob("*.json"):
+        entries = list(tmp_path.glob("*.jslcache"))
+        assert entries
+        for path in entries:
             path.write_text("{ not json")
         fresh = CodeCache(cache_dir=tmp_path)
         assert fresh.lookup("a.jsl", source) is None
 
-    def test_json_round_trip_nested_functions(self):
+    def test_codec_round_trip_nested_functions(self):
         source = """
         function outer(a) {
           var captured = a * 2;
@@ -206,14 +206,15 @@ class TestCodeCache:
         }
         """
         code = compile_source(source, "n.jsl")
-        restored = code_from_json(json.loads(json.dumps(code_to_json(code))))
+        restored = decode_code(encode_code("n.jsl:k", code), "n.jsl:k")
+        assert restored == code
         originals = list(code.iter_code_objects())
         restoreds = list(restored.iter_code_objects())
-        assert len(originals) == len(restoreds)
+        assert len(originals) == len(restoreds) == 3
         for a, b in zip(originals, restoreds):
             assert a.instructions == b.instructions
-            assert a.names == b.names
-            assert a.local_names == b.local_names
+            assert a.positions == b.positions
+            assert a.feedback_slots == b.feedback_slots
             assert a.decl_key == b.decl_key
 
     def test_cached_code_executes_identically(self, tmp_path):

@@ -366,3 +366,120 @@ class TestBudgetAbortDifferential:
         assert reused.console_output == pristine.reused.console_output
         assert cold.counters.as_dict() == pristine.cold.counters.as_dict()
         assert reused.counters.as_dict() == pristine.reused.counters.as_dict()
+
+
+# -- fresh compile vs cache-loaded code ------------------------------------------
+
+#: A program whose reuse run deopts a quickened site: the library's
+#: ``add`` trains on ints, then the reuse run pushes strings through it.
+DEOPT_CASE = "deopt"
+CODE_CACHE_CASES = WORKLOAD_NAMES + (DEOPT_CASE,)
+
+
+def _code_cache_case(name: str):
+    """``(training scripts, run scripts, per-script record to reuse or
+    None for the whole-run record)``."""
+    if name == DEOPT_CASE:
+        from tests.test_specialize import APP_NUMERIC, APP_STRINGS, LIB
+
+        return (
+            [("lib.jsl", LIB), ("app1.jsl", APP_NUMERIC)],
+            [("lib.jsl", LIB), ("app2.jsl", APP_STRINGS)],
+            "lib.jsl",
+        )
+    scripts = bench_workloads()[name]
+    return scripts, scripts, None
+
+
+def _observe_protocol(engine: Engine, name: str) -> list:
+    """Initial run, extraction, then a cold and a reuse run; returns each
+    of the last two as ``(output, serialized heap, counters)``."""
+    from repro.baselines.snapshot import serialize_user_globals
+
+    train, scripts, record_file = _code_cache_case(name)
+    engine.run(train, name=name)
+    if record_file is None:
+        record = engine.extract_icrecord()
+    else:
+        record = engine.extract_per_script_records()[record_file]
+    observed = []
+    for icrecord in (None, record):
+        profile = engine.run(scripts, name=name, icrecord=icrecord)
+        heap = serialize_user_globals(engine.last_run.runtime)
+        observed.append(
+            (
+                profile.console_output,
+                json.dumps(heap, sort_keys=True),
+                profile.counters.as_dict(),
+            )
+        )
+    return observed
+
+
+@pytest.fixture(scope="module")
+def code_cache_arms(tmp_path_factory) -> dict:
+    """Per case: the sources, the protocol observed on freshly compiled
+    code, the engine that ran on code loaded from a disk cache, and the
+    protocol observed there.  Both arms prime their code cache before
+    running, so every run of either arm is a code-cache hit."""
+    out = {}
+    for name in CODE_CACHE_CASES:
+        train, scripts, _ = _code_cache_case(name)
+        sources = dict(train + scripts)
+        cache_dir = str(tmp_path_factory.mktemp(f"code-cache-{name}"))
+        filler = Engine(cache_dir=cache_dir)
+        fresh = Engine(seed=29)
+        loaded = Engine(seed=29, cache_dir=cache_dir)
+        for engine in (filler, fresh, loaded):
+            for filename, source in sources.items():
+                engine.compile(filename, source)
+        assert loaded.code_cache.hits == len(sources)
+        assert loaded.code_cache.misses == 0
+        out[name] = (
+            sources,
+            _observe_protocol(fresh, name),
+            loaded,
+            _observe_protocol(loaded, name),
+        )
+    return out
+
+
+@pytest.mark.parametrize("name", CODE_CACHE_CASES)
+class TestCodeCacheDifferential:
+    """Code loaded from the disk cache must behave exactly like the
+    compiler's output: identical output, heap and counters on the cold
+    and the reuse run — and running it (quickening, deopt patching)
+    must leave the cached tree equal to a fresh compile."""
+
+    def test_runs_are_identical(self, code_cache_arms, name):
+        _, fresh, _, loaded = code_cache_arms[name]
+        for (f_out, f_heap, f_counters), (l_out, l_heap, l_counters) in zip(
+            fresh, loaded
+        ):
+            assert f_out == l_out
+            assert f_out, f"{name} produced no output"
+            assert f_heap == l_heap
+            assert f_counters == l_counters
+
+    def test_cached_tree_still_equals_a_fresh_compile(self, code_cache_arms, name):
+        from repro.bytecode.compiler import compile_source
+        from repro.bytecode.optimizer import optimize_code
+        from tests.helpers import code_fingerprint
+
+        sources, _, loaded, _ = code_cache_arms[name]
+        for filename, source in sources.items():
+            expected = compile_source(source, filename)
+            optimize_code(expected)
+            cached = loaded.code_cache.lookup(filename, source)
+            assert code_fingerprint(cached) == code_fingerprint(expected)
+
+
+def test_code_cache_deopt_case_deopts(code_cache_arms):
+    """The deopt case is not vacuous: with specialization on, its reuse
+    run on cache-loaded code quickens a site and deopts it."""
+    _, _, loaded, observed = code_cache_arms[DEOPT_CASE]
+    reused_counters = observed[1][2]
+    if loaded.config.specialize:
+        assert reused_counters["deopts"] > 0
+    else:
+        assert reused_counters["specialized_sites"] == 0
