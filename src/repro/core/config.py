@@ -46,10 +46,12 @@ class RICConfig:
 
     Interpreter knobs:
 
-    * ``interp_fastpaths=False`` — disable the VM's inline monomorphic
-      GET_PROP/SET_PROP fast paths and route every property access through
+    * ``interp_fastpaths=False`` — disable the VM's inline IC hit paths
+      (MONO/POLY GET_PROP/SET_PROP; front-slot LOAD_GLOBAL/STORE_GLOBAL
+      and integer-key GET_INDEX) and route every such access through
       the generic :class:`~repro.ic.miss.ICRuntime` path.  The two must be
-      observationally identical (tests/test_dispatch_table.py and the
+      observationally identical (tests/test_dispatch_table.py, the
+      fast-path cross-check in tests/test_fuzz_programs.py and the
       differential suite enforce it); the knob exists for those tests and
       for isolating fast-path effects in benchmarks.
     * ``specialize=False`` — disable the bytecode quickening pass

@@ -52,7 +52,8 @@ class ICSite:
         move-to-front (MRU) reordering: a polymorphic site keeps its
         hottest shape first so the common case pays one compare.  The
         VM's inline GET_PROP/SET_PROP fast paths mirror this exact scan
-        and reorder, so slot order evolves identically whether a site is
+        and reorder, and its global and element fast paths accept only a
+        slot-0 hit, so slot order evolves identically whether a site is
         probed inline or through the generic :class:`ICRuntime` path.
         """
         slots = self.slots

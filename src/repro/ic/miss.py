@@ -36,7 +36,7 @@ from repro.ic.icvector import ICSite, ICState
 from repro.lang.errors import JSLReferenceError
 from repro.runtime.context import Runtime
 from repro.runtime.objects import JSArray, JSFunction, JSObject
-from repro.runtime.values import UNDEFINED
+from repro.runtime.values import UNDEFINED, to_number, to_property_key
 from repro.stats.counters import (
     CATEGORY_EXECUTE,
     CATEGORY_IC_MISS,
@@ -364,8 +364,6 @@ class ICRuntime:
             self._install(site, hc, self._load_element)
             return value if found else UNDEFINED
 
-        from repro.runtime.values import to_property_key
-
         name = to_property_key(key)
         stub_key = (hc.address, name, False)
         cached = self.stub_cache.get(stub_key)
@@ -419,8 +417,6 @@ class ICRuntime:
             self._record_handler_generated(self._store_element)
             self._install(site, hc, self._store_element)
             return
-
-        from repro.runtime.values import to_property_key
 
         name = to_property_key(key)
         stub_key = (hc.address, name, True)
@@ -570,8 +566,10 @@ class ICRuntime:
 
 def _as_element_index(key: object) -> int | None:
     """Return the array index for integer-like keys, else None."""
-    if isinstance(key, float) and not isinstance(key, bool):
-        if key >= 0 and key == int(key) and key < 2**31:
+    if isinstance(key, float):
+        # NaN and ±inf fail these tests and stay property keys
+        # ("NaN" / "Infinity"), as in JS.
+        if 0 <= key < 2**31 and key.is_integer():
             return int(key)
         return None
     if isinstance(key, str) and key.isdigit():
@@ -581,8 +579,6 @@ def _as_element_index(key: object) -> int | None:
 
 
 def _to_number_safe(value: object) -> float:
-    from repro.runtime.values import to_number
-
     number = to_number(value)
     if number != number:  # NaN
         return 0.0

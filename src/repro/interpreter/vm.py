@@ -19,11 +19,20 @@ linear scan + MRU move-to-front reorder as ``ICSite.lookup``, and a
 matching handler runs directly in the dispatch handler — same IC hit
 accounting (including per-tier attribution), same ``ICVector``
 transitions, one less call layer than the generic ``ICRuntime`` path.
+``LOAD_GLOBAL`` / ``STORE_GLOBAL`` and ``GET_INDEX`` (integer float keys
+on objects) carry a cheaper **front-slot** fast path: only slot 0 is
+compared, and a hit reads or writes the slot directly.  Because the
+generic ``ICSite.lookup`` moves every hit to the front, accepting only
+slot 0 leaves slot order exactly as the generic path would.
 Any other situation (megamorphic site — its slots are empty and hits go
-to the shared stub cache — shape mismatch, handler bailout) falls back
-to the generic path untouched.  ``fastpaths=False`` disables the inline
-paths entirely (used by differential tests and the ``interp_fastpaths``
-config knob).
+to the shared stub cache — shape mismatch, non-front match, handler
+bailout) falls back to the generic path untouched, with no counter
+touched.  ``fastpaths=False`` disables the inline paths entirely (used
+by differential tests and the ``interp_fastpaths`` config knob).
+
+Interpreted guest calls (``CALL`` / ``CALL_METHOD`` on a ``JSFunction``
+with code) go straight to :meth:`VM.call_function`, skipping
+:meth:`VM.call_value`'s type dispatch.
 
 Guest instruction accounting: each dispatched bytecode charges
 ``cost_model.DISPATCH`` (batched per frame for speed); everything heavier
@@ -59,7 +68,7 @@ from repro.bytecode.code import CodeObject
 from repro.bytecode.opcodes import BinOp, Op, UnOp
 from repro.core.budget import BudgetMeter, CancelToken, ExecutionBudget
 from repro.core.errors import DepthBudgetExceeded
-from repro.ic.handlers import MISS
+from repro.ic.handlers import MISS, LoadElementHandler
 from repro.ic.icvector import FeedbackState, ICState
 from repro.ic.miss import ICRuntime
 from repro.interpreter import cost_model as cost
@@ -143,6 +152,9 @@ class VM:
         self.ic = ic_runtime
         self.feedback = feedback
         self.fastpaths = fastpaths
+        #: The global object never changes once builtins are installed;
+        #: cached for the LOAD_GLOBAL / STORE_GLOBAL fast paths.
+        self._global_object = runtime.global_object
         self._call_depth = 0
         self._time_source = time_source or time.time
         self._dispatch = self._build_dispatch_table()
@@ -180,6 +192,9 @@ class VM:
         if not self.fastpaths:
             table[Op.GET_PROP] = self._op_get_prop_generic
             table[Op.SET_PROP] = self._op_set_prop_generic
+            table[Op.LOAD_GLOBAL] = self._op_load_global_generic
+            table[Op.STORE_GLOBAL] = self._op_store_global_generic
+            table[Op.GET_INDEX] = self._op_get_index_generic
         return table
 
     def dispatch_handler(self, op: Op):
@@ -231,7 +246,7 @@ class VM:
         """Call an interpreted guest function."""
         code = fn.code
         assert code is not None
-        self.counters.charge(CATEGORY_EXECUTE, cost.CALL_SETUP)
+        self.counters.instructions[CATEGORY_EXECUTE] += cost.CALL_SETUP
         # Depth governance fires before the guest RangeError so a budget
         # tighter than MAX_CALL_DEPTH is a hard (uncatchable) stop; a
         # looser one never fires and guest semantics are unchanged.
@@ -242,10 +257,12 @@ class VM:
             )
         if self._call_depth >= MAX_CALL_DEPTH:
             raise GuestThrow("RangeError: maximum call stack size exceeded")
-        env = Environment(code.num_locals, parent=fn.env)  # type: ignore[arg-type]
-        self.runtime.heap.charge("environment", 32 + 8 * code.num_locals)
-        for index in range(len(code.params)):
-            env.slots[index] = args[index] if index < len(args) else UNDEFINED
+        num_locals = len(code.local_names)
+        env = Environment(num_locals, parent=fn.env)  # type: ignore[arg-type]
+        self.runtime.heap.charge("environment", 32 + 8 * num_locals)
+        # Missing arguments keep the slots' UNDEFINED; extras are dropped.
+        passed = min(len(code.params), len(args))
+        env.slots[:passed] = args[:passed]
         vector = self.feedback.vector_for(code)
         frame = Frame(code, env, this_value, vector.sites, vector.arith)
         self._call_depth += 1
@@ -522,6 +539,30 @@ class VM:
         return pc
 
     def _op_load_global(self, frame: Frame, a: int, b: int, pc: int) -> int:
+        """LOAD_GLOBAL with the inline front-slot fast path.
+
+        A hit needs the site's front slot to match the global object's
+        *current* hidden class (a new global changes it); the charges
+        equal the generic hit's.  Everything else — empty site, non-front
+        match, dictionary mode — takes the generic path, which also does
+        the MRU promotion, so slot order evolves identically.
+        """
+        site = frame.sites[b]
+        slots = site.slots
+        if slots:
+            global_object = self._global_object
+            hc, handler = slots[0]
+            if hc is global_object.hidden_class:
+                counters = self.counters
+                counters.ic_accesses += 1
+                counters.ic_hits += 1
+                counters.instructions[CATEGORY_EXECUTE] += _IC_HIT_COST
+                frame.stack.append(global_object.slots[handler.offset])
+                return pc
+        frame.stack.append(self.ic.global_load(site, frame.names[a]))
+        return pc
+
+    def _op_load_global_generic(self, frame: Frame, a: int, b: int, pc: int) -> int:
         frame.stack.append(self.ic.global_load(frame.sites[b], frame.names[a]))
         return pc
 
@@ -532,6 +573,24 @@ class VM:
         return pc
 
     def _op_store_global(self, frame: Frame, a: int, b: int, pc: int) -> int:
+        """STORE_GLOBAL with the inline front-slot fast path (see
+        _op_load_global)."""
+        site = frame.sites[b]
+        slots = site.slots
+        if slots:
+            global_object = self._global_object
+            hc, handler = slots[0]
+            if hc is global_object.hidden_class:
+                counters = self.counters
+                counters.ic_accesses += 1
+                counters.ic_hits += 1
+                counters.instructions[CATEGORY_EXECUTE] += _IC_HIT_COST
+                global_object.slots[handler.offset] = frame.stack[-1]
+                return pc
+        self.ic.global_store(site, frame.names[a], frame.stack[-1])
+        return pc
+
+    def _op_store_global_generic(self, frame: Frame, a: int, b: int, pc: int) -> int:
         self.ic.global_store(frame.sites[b], frame.names[a], frame.stack[-1])
         return pc
 
@@ -668,6 +727,38 @@ class VM:
         return pc
 
     def _op_get_index(self, frame: Frame, a: int, b: int, pc: int) -> int:
+        """GET_INDEX with the inline front-slot element fast path.
+
+        Taken only for an integral float key in ``[0, 2**31)`` on an
+        object whose hidden class matches the site's front slot holding
+        a :class:`LoadElementHandler`; the charges equal the generic
+        element hit's.  Every other key, receiver or slot goes to
+        :meth:`_keyed_get` untouched.
+        """
+        stack = frame.stack
+        key = stack.pop()
+        obj = stack.pop()
+        site = frame.sites[a]
+        if (
+            type(key) is float
+            and 0.0 <= key < 2147483648.0
+            and key.is_integer()
+            and isinstance(obj, JSObject)
+        ):
+            slots = site.slots
+            if slots:
+                hc, handler = slots[0]
+                if hc is obj.hidden_class and type(handler) is LoadElementHandler:
+                    counters = self.counters
+                    counters.ic_accesses += 1
+                    counters.ic_hits += 1
+                    counters.instructions[CATEGORY_EXECUTE] += _IC_HIT_COST
+                    stack.append(obj.get_element(int(key))[1])
+                    return pc
+        stack.append(self._keyed_get(obj, key, site))
+        return pc
+
+    def _op_get_index_generic(self, frame: Frame, a: int, b: int, pc: int) -> int:
         stack = frame.stack
         key = stack.pop()
         obj = stack.pop()
@@ -736,7 +827,10 @@ class VM:
         args = stack[len(stack) - a :]
         del stack[len(stack) - a :]
         callee = stack.pop()
-        stack.append(self.call_value(callee, UNDEFINED, args))
+        if type(callee) is JSFunction and callee.native is None:
+            stack.append(self.call_function(callee, UNDEFINED, args))
+        else:
+            stack.append(self.call_value(callee, UNDEFINED, args))
         return pc
 
     def _op_call_method(self, frame: Frame, a: int, b: int, pc: int) -> int:
@@ -745,7 +839,10 @@ class VM:
         del stack[len(stack) - a :]
         callee = stack.pop()
         receiver = stack.pop()
-        stack.append(self.call_value(callee, receiver, args))
+        if type(callee) is JSFunction and callee.native is None:
+            stack.append(self.call_function(callee, receiver, args))
+        else:
+            stack.append(self.call_value(callee, receiver, args))
         return pc
 
     def _op_new(self, frame: Frame, a: int, b: int, pc: int) -> int:
@@ -1152,7 +1249,9 @@ class VM:
         if isinstance(obj, JSObject):
             return self.ic.keyed_load(site, obj, key)
         if isinstance(obj, str):
-            if isinstance(key, float) and key == int(key) and 0 <= int(key) < len(obj):
+            # is_integer() is False for NaN and ±inf: they become the
+            # property keys "NaN" / "Infinity" below.
+            if isinstance(key, float) and key.is_integer() and 0 <= key < len(obj):
                 return obj[int(key)]
             return self.get_property(obj, to_property_key(key), site)
         raise self.guest_type_error(

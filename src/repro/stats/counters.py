@@ -53,8 +53,8 @@ class Counters:
     #: SET_PROP).  ``mono``/``poly`` split ICVector slot hits by the
     #: site's state at hit time; ``mega`` counts megamorphic stub-cache
     #: hits.  Keyed-element and global sites keep their own untiered
-    #: accounting (they always take the generic path in both fast-path
-    #: modes), so these three do *not* sum to ``ic_hits``.
+    #: accounting (in the generic path and in their VM fast paths alike),
+    #: so these three do *not* sum to ``ic_hits``.
     ic_hits_mono: int = 0
     ic_hits_poly: int = 0
     ic_hits_mega: int = 0

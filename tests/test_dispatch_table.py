@@ -6,9 +6,10 @@ Guards the PR-2 interpreter rewrite:
   opcode without a handler must fail loudly (at VM construction *and*
   here),
 * gap values between opcodes stay "unknown opcode" errors,
-* the monomorphic GET_PROP/SET_PROP fast paths are observationally
-  identical to the generic miss path: same output, same counters (to the
-  instruction), same ICVector transitions.
+* the inline IC fast paths (GET_PROP/SET_PROP, LOAD_GLOBAL/STORE_GLOBAL,
+  GET_INDEX) are observationally identical to the generic miss path:
+  same output, same counters (to the instruction), same ICVector
+  transitions.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from __future__ import annotations
 import pytest
 
 from repro.bytecode.compiler import compile_source
+from repro.bytecode.code import SiteKind
 from repro.bytecode.opcodes import Op
+from repro.ic.handlers import LoadFieldHandler
 from repro.ic.icvector import FeedbackState
 from repro.ic.miss import ICRuntime
 from repro.interpreter.vm import VM
@@ -71,16 +74,16 @@ class TestTableConstruction:
     def test_fastpaths_flag_swaps_in_generic_property_handlers(self):
         fast = make_vm(fastpaths=True)
         slow = make_vm(fastpaths=False)
-        assert fast.dispatch_handler(Op.GET_PROP).__func__.__name__ == "_op_get_prop"
-        assert fast.dispatch_handler(Op.SET_PROP).__func__.__name__ == "_op_set_prop"
-        assert (
-            slow.dispatch_handler(Op.GET_PROP).__func__.__name__
-            == "_op_get_prop_generic"
-        )
-        assert (
-            slow.dispatch_handler(Op.SET_PROP).__func__.__name__
-            == "_op_set_prop_generic"
-        )
+        for op in (
+            Op.GET_PROP,
+            Op.SET_PROP,
+            Op.LOAD_GLOBAL,
+            Op.STORE_GLOBAL,
+            Op.GET_INDEX,
+        ):
+            name = f"_op_{op.name.lower()}"
+            assert fast.dispatch_handler(op).__func__.__name__ == name
+            assert slow.dispatch_handler(op).__func__.__name__ == name + "_generic"
 
 
 def _construct(vm_class) -> VM:
@@ -189,3 +192,38 @@ class TestFastPathEquivalence:
         states = {entry[1] for entry in ic_transcript(fast)}
         # The stress program must actually reach all three warm states.
         assert {"monomorphic", "polymorphic", "megamorphic"} <= states
+
+
+# -- front-slot fast paths: guards the generic path relies on ------------------
+
+#: A keyed site whose front slot matches the receiver's hidden class but
+#: holds a non-element handler — the state a wrong record's preload can
+#: leave behind.  GET_INDEX must treat it as a miss, like the generic
+#: path, not read an element through it.
+FOREIGN_KEYED_SLOT = """
+function at(c, k) { return c[k]; }
+var a = [5, 6, 7];
+console.log(at(a, 1), at(a, 2), at(a, 0));
+"""
+
+
+def run_with_foreign_keyed_slot(fastpaths: bool) -> VM:
+    vm = make_vm(fastpaths=fastpaths)
+    code = compile_source(FOREIGN_KEYED_SLOT, "foreign.jsl")
+    vm.feedback.register_script(code)
+    (site,) = [
+        site
+        for site in vm.feedback.all_sites()
+        if site.info.kind is SiteKind.KEYED_LOAD
+    ]
+    site.install(vm.runtime.array_hc, LoadFieldHandler(0), preloaded=True)
+    vm.run_code(code)
+    return vm
+
+
+def test_get_index_ignores_a_foreign_front_slot():
+    fast = run_with_foreign_keyed_slot(fastpaths=True)
+    slow = run_with_foreign_keyed_slot(fastpaths=False)
+    assert fast.runtime.console_output == slow.runtime.console_output == ["6 7 5"]
+    assert fast.counters.as_dict() == slow.counters.as_dict()
+    assert ic_transcript(fast) == ic_transcript(slow)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import RICConfig
 from repro.core.engine import Engine
 from repro.lang.errors import JSLSyntaxError
 from repro.lang.lexer import tokenize
@@ -145,6 +146,25 @@ class TestGuestSemanticsCorners:
         console.log(msg);
         """
         assert console_of(src) == ["stop@2"]
+
+
+class TestNonFiniteKeys:
+    """NaN and ±Infinity are property keys ("NaN", "Infinity"), never
+    element indices; expected lines are node's output."""
+
+    @pytest.mark.parametrize("fastpaths", [True, False])
+    def test_non_finite_keys_are_property_names(self, fastpaths):
+        source = """
+        console.log("abc"[0/0], "abc"[1/0]);
+        var a = [1, 2, 3];
+        a[1/0] = 7;
+        console.log(a.length, a[1/0], a[-1], a[1.5], a["1"]);
+        """
+        engine = Engine(config=RICConfig(interp_fastpaths=fastpaths))
+        assert engine.run(source, name="keys").console_output == [
+            "undefined undefined",
+            "3 7 undefined undefined 2",
+        ]
 
 
 class TestEngineCorners:

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.baselines.snapshot import serialize_user_globals
 from repro.core.config import RICConfig
 from repro.core.engine import Engine
+from repro.ic.miss import ICRuntime
 
 # -- program generator ----------------------------------------------------------
 
@@ -185,15 +186,31 @@ class TestGeneratedPrograms:
 #
 # Unlike the hypothesis pass above, this generator is driven by a plain
 # ``random.Random(seed)`` so every CI run executes the *same* corpus — a
-# reproducible wall in front of the PR-2 GET_PROP/SET_PROP fast paths.
-# Programs are deliberately property-access-heavy: shared accessor
-# functions over object pools of mixed shapes (sites go mono → poly →
-# megamorphic), add-transitions, prototype-method calls, deletes and
-# not-found probes.
+# reproducible wall in front of the VM's inline IC fast paths.  Programs
+# are deliberately IC-heavy: shared accessor functions over object pools
+# of mixed shapes (sites go mono → poly → megamorphic), add-transitions,
+# prototype-method calls, deletes and not-found probes; globals created
+# mid-run (the global object's hidden class changes under warm global
+# sites); a keyed site alternating an array and a plain object; keys that
+# must not be element indices; native and interpreted calls; and throws
+# out of keyed accesses.
+
+#: Keys a GET_INDEX fast path must not treat as element hits (or, for
+#: ``-0`` and ``"2"``, must treat exactly like the generic path): negative
+#: zero, fractions, negatives, the first non-index, numeric strings, NaN,
+#: Infinity, a hole and reads past the end.
+ODD_KEYS = ("-0", "1.5", "-1", "2147483648", '"2"', "0/0", "1/0", "5", "9")
+
+#: Number of statement kinds ``property_heavy_program`` draws from.
+STATEMENT_KINDS = 13
 
 
 def property_heavy_program(rng: random.Random) -> str:
-    """One deterministic, always-valid, property-access-heavy jsl program."""
+    """One deterministic, always-valid, IC-heavy jsl program.
+
+    Every statement kind appears at least once, so each program reaches
+    every fast path and its fallbacks.
+    """
     props = ["p", "q", "r", "s"]
     lines = ["var log = [];"]
 
@@ -219,22 +236,39 @@ def property_heavy_program(rng: random.Random) -> str:
         "Node.prototype.touch = function () { this.hits += 1; return this.tag; };"
     )
     lines.append("var nodes = [];")
+    # Keyed-access and call helpers: one shared GET_INDEX site over an
+    # array with a hole at index 5 and a plain object with elements.
+    lines.append("function at(c, k) { return c[k]; }")
+    lines.append("function add3(a, b, c) { return a + b + c; }")
+    lines.append("var arr = [10, 11, 12, 13]; arr[6] = 16;")
+    lines.append("var dict = {}; dict[0] = 20; dict[1] = 21; dict[2] = 22;")
+    lines.append("var util = { add3: add3, max: Math.max };")
+    # Global sites inside a function stay warm across statements.
+    lines.append("var bumps = 0;")
+    lines.append("function bump() { bumps = bumps + 1; return bumps + log.length; }")
 
-    for _ in range(rng.randint(6, 18)):
-        kind = rng.randint(0, 7)
+    # Loop variables share a few names: a global per statement would push
+    # the global object past DICTIONARY_THRESHOLD in some programs, and a
+    # dictionary-mode global object never takes the global fast paths.
+    kinds = list(range(STATEMENT_KINDS)) + [
+        rng.randint(0, STATEMENT_KINDS - 1) for _ in range(rng.randint(0, 10))
+    ]
+    rng.shuffle(kinds)
+    for kind in kinds:
         accessor = rng.randint(0, accessor_count - 1)
         count = rng.randint(2, 12)
         value = rng.randint(-99, 99)
         prop = rng.choice(props)
+        tag = len(lines)
         if kind == 0:
             lines.append(
-                f"for (var i{len(lines)} = 0; i{len(lines)} < {count}; i{len(lines)}++) "
-                f"{{ log.push(get{accessor}(pool[i{len(lines)} % pool.length])); }}"
+                f"for (var i = 0; i < {count}; i++) "
+                f"{{ log.push(get{accessor}(pool[i % pool.length])); }}"
             )
         elif kind == 1:
             lines.append(
-                f"for (var i{len(lines)} = 0; i{len(lines)} < {count}; i{len(lines)}++) "
-                f"{{ set{accessor}(pool[i{len(lines)} % pool.length], i{len(lines)} + {value}); }}"
+                f"for (var i = 0; i < {count}; i++) "
+                f"{{ set{accessor}(pool[i % pool.length], i + {value}); }}"
             )
         elif kind == 2:
             target = rng.randint(0, pool_size - 1)
@@ -247,27 +281,67 @@ def property_heavy_program(rng: random.Random) -> str:
         elif kind == 4:
             lines.append(f"nodes.push(new Node({value}));")
             lines.append(
-                "for (var n%d = 0; n%d < nodes.length; n%d++) "
-                "{ log.push(nodes[n%d].touch()); }"
-                % (len(lines), len(lines), len(lines), len(lines))
+                "for (var n = 0; n < nodes.length; n++) "
+                "{ log.push(nodes[n].touch()); }"
             )
         elif kind == 5:
             # fresh object grown property-by-property: add-transitions
-            name = f"grown{len(lines)}"
-            lines.append(f"var {name} = {{}};")
+            lines.append("var grown = {};")
             for step, grown_prop in enumerate(rng.sample(props, len(props))):
-                lines.append(f"{name}.{grown_prop} = {step};")
-            lines.append(f"log.push({name}.{props[0]} + {name}.{props[-1]});")
+                lines.append(f"grown.{grown_prop} = {step};")
+            lines.append(f"log.push(grown.{props[0]} + grown.{props[-1]});")
         elif kind == 6:
             target = rng.randint(0, pool_size - 1)
             lines.append(
                 f"log.push(obj{target}.absent === undefined ? 'miss' : 'hit');"
             )
-        else:
+        elif kind == 7:
             lines.append(
-                f"for (var m{len(lines)} = 0; m{len(lines)} < {count}; m{len(lines)}++) "
-                f"{{ var o{len(lines)} = pool[m{len(lines)} % pool.length]; "
-                f"set{accessor}(o{len(lines)}, get{accessor}(o{len(lines)}) + 1); }}"
+                f"for (var m = 0; m < {count}; m++) "
+                f"{{ var o = pool[m % pool.length]; "
+                f"set{accessor}(o, get{accessor}(o) + 1); }}"
+            )
+        elif kind == 8:
+            # A global first assigned inside a function once bump()'s
+            # global sites are warm: the global object's hidden class
+            # changes under them.
+            lines.append("log.push(bump());")
+            lines.append(f"(function (x) {{ late{tag} = x; }})({value});")
+            lines.append(
+                f"for (var g = 0; g < {count}; g++) "
+                f"{{ late{tag} = late{tag} + g; }}"
+            )
+            lines.append(f"log.push(late{tag}, bump());")
+        elif kind == 9:
+            # One keyed site alternating array and plain object: POLY,
+            # with a non-front hit (MRU promotion) on every switch.
+            lines.append(
+                f"for (var k = 0; k < {count}; k++) "
+                f"{{ log.push(at(k % 2 ? arr : dict, k % 3)); }}"
+            )
+        elif kind == 10:
+            # Each odd key right after an element hit on the same
+            # receiver, so the keyed site's front slot matches it.
+            target = rng.choice(["arr", "dict", '"abcd"'])
+            for key in rng.sample(ODD_KEYS, len(ODD_KEYS)):
+                lines.append(f"log.push(at({target}, 1), at({target}, {key}));")
+        elif kind == 11:
+            # Interpreted and native callees through CALL and CALL_METHOD,
+            # with missing and extra arguments, and a non-callable.
+            lines.append(f"log.push(add3({value}, 1), add3({value}, 1, 2, 3));")
+            lines.append(f"log.push(util.add3({value}, 2, 3), util.max({value}, 7));")
+            lines.append(f"log.push(parseInt('{value}'), [{value}, 1].indexOf(1));")
+            lines.append(
+                f"try {{ var nf = {value}; nf(); }} "
+                "catch (e) { log.push('not a function'); }"
+            )
+        else:
+            # A throw out of a keyed access, caught by try: the receiver
+            # turns null after the site is warm.
+            lines.append(
+                f"try {{ for (var u = 0; u < {count}; u++) "
+                "{ log.push(at(u < 2 ? arr : null, u)); } } "
+                "catch (e) { log.push('caught'); }"
             )
 
     lines.append("var tally = 0;")
@@ -279,12 +353,27 @@ def property_heavy_program(rng: random.Random) -> str:
     return "\n".join(lines)
 
 
+def site_transcript(engine: Engine) -> list:
+    """Every IC site's state and slot order (hidden-class address and
+    handler kind) after the engine's last run."""
+    return [
+        (
+            site.info.site_key,
+            site.state.value,
+            tuple((hc.address, handler.kind) for hc, handler in site.slots),
+        )
+        for site in engine.last_run.feedback.all_sites()
+    ]
+
+
 def run_fastpath_protocol(source: str, fastpaths: bool, seed: int = 9) -> dict:
     """Full protocol (cold -> extract -> reuse) under one fast-path mode,
-    fingerprinted: output, counters and address-free heap for both runs."""
+    fingerprinted: output, counters, IC slot order and address-free heap
+    for both runs."""
     engine = Engine(config=RICConfig(interp_fastpaths=fastpaths), seed=seed)
     cold = engine.run(source, name="fuzz")
     cold_state = serialize_user_globals(engine.last_run.runtime)
+    cold_sites = site_transcript(engine)
     record = engine.extract_icrecord()
     reused = engine.run(source, name="fuzz", icrecord=record)
     reused_state = serialize_user_globals(engine.last_run.runtime)
@@ -292,25 +381,59 @@ def run_fastpath_protocol(source: str, fastpaths: bool, seed: int = 9) -> dict:
         "cold_output": cold.console_output,
         "cold_counters": cold.counters.as_dict(),
         "cold_state": cold_state,
+        "cold_sites": cold_sites,
         "reused_output": reused.console_output,
         "reused_counters": reused.counters.as_dict(),
         "reused_state": reused_state,
+        "reused_sites": site_transcript(engine),
     }
 
 
+def _counting_hits(method, tally: dict, key: str, element_only: bool = False):
+    """Wrap an ICRuntime access method to tally the IC hits it scores."""
+
+    def wrapper(self, site, *args, **kwargs):
+        before = self.counters.ic_hits
+        try:
+            return method(self, site, *args, **kwargs)
+        finally:
+            if not element_only or type(args[1]) is float:
+                tally[key] += self.counters.ic_hits - before
+
+    return wrapper
+
+
 class TestFastPathCrossCheck:
-    """The GET_PROP/SET_PROP fast paths must be invisible: identical output,
-    identical heap, identical counters — cold *and* under RIC reuse."""
+    """The inline IC fast paths (GET_PROP/SET_PROP, LOAD_GLOBAL/
+    STORE_GLOBAL, GET_INDEX) must be invisible: identical output, heap,
+    counters and IC slot order — cold *and* under RIC reuse."""
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_fast_path_matches_generic_path(self, seed):
+    def test_fast_path_matches_generic_path(self, seed, monkeypatch):
         source = property_heavy_program(random.Random(1000 + seed))
         fast = run_fastpath_protocol(source, fastpaths=True)
+        # The generic run routes every hit through ICRuntime: count there.
+        hits = {"global": 0, "element": 0}
+        for name in ("global_load", "global_store"):
+            monkeypatch.setattr(
+                ICRuntime,
+                name,
+                _counting_hits(getattr(ICRuntime, name), hits, "global"),
+            )
+        monkeypatch.setattr(
+            ICRuntime,
+            "keyed_load",
+            _counting_hits(ICRuntime.keyed_load, hits, "element", element_only=True),
+        )
         generic = run_fastpath_protocol(source, fastpaths=False)
         assert fast == generic
         # The corpus must actually lean on the IC machinery to mean anything.
-        assert fast["cold_counters"]["ic_accesses"] > 20
-        assert fast["cold_counters"]["ic_hits"] > 0
+        counters = fast["cold_counters"]
+        assert counters["ic_accesses"] > 20
+        assert counters["ic_hits"] > 0
+        assert counters["misses_by_reason"]["global"] > 0
+        assert hits["global"] > 0
+        assert hits["element"] > 0
 
     def test_generator_is_deterministic(self):
         assert property_heavy_program(random.Random(7)) == property_heavy_program(
