@@ -10,6 +10,7 @@ bytecode while still rebuilding IC state every run, which RIC then fixes.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 from repro.lang.errors import SourcePosition
@@ -45,12 +46,14 @@ class FeedbackSlotInfo:
     position: SourcePosition
     name: str | None
 
-    @property
+    @functools.cached_property
     def site_key(self) -> str:
         """The stable string key used by the TOAST and HCVT.
 
         Includes the site kind so that e.g. the load and store halves of a
-        compound assignment (same source position) stay distinct."""
+        compound assignment (same source position) stay distinct.  Built
+        once per slot: every run's registration, preload and extraction
+        asks for it."""
         return f"{self.position}:{self.kind.value}"
 
     @property

@@ -17,6 +17,7 @@ from repro.ric.reuse import MultiReuseSession, ReuseSession
 from repro.ric.store import RecordStore, RecordStoreProtocol
 from repro.ric.serialize import (
     ICRECORD_FORMAT_VERSION,
+    envelope_text,
     load_icrecord,
     payload_checksum,
     record_from_envelope,
@@ -45,6 +46,7 @@ __all__ = [
     "check_record",
     "extract_icrecord",
     "load_icrecord",
+    "envelope_text",
     "payload_checksum",
     "record_from_envelope",
     "record_from_json",

@@ -35,7 +35,6 @@ else changes.
 
 from __future__ import annotations
 
-import json
 import time
 from collections import Counter
 
@@ -202,14 +201,15 @@ def _build_record(
             record.toast[key] = kept
 
     # ---- HCVT dependents (scan the ICVectors) ------------------------------
-    handler_ids: dict[str, int] = {}
+    handler_ids: dict[tuple, int] = {}
 
     def intern_handler(serialized: dict) -> int:
-        text = json.dumps(serialized, sort_keys=True)
-        handler_id = handler_ids.get(text)
+        # Serialized handlers are flat dicts of scalars.
+        identity = tuple(sorted(serialized.items()))
+        handler_id = handler_ids.get(identity)
         if handler_id is None:
             handler_id = len(record.handlers)
-            handler_ids[text] = handler_id
+            handler_ids[identity] = handler_id
             record.handlers.append(serialized)
         return handler_id
 

@@ -19,13 +19,48 @@ preloaded and execution proceeds correctly, just without the speedup.
 
 from __future__ import annotations
 
+from repro.bytecode.code import FeedbackSlotInfo, SiteKind
 from repro.core.config import RICConfig
 from repro.ic.handlers import Handler, deserialize_handler
 from repro.ic.icvector import POLY_LIMIT, FeedbackState, ICSite, ICState
 from repro.interpreter import cost_model as cost
 from repro.ric.icrecord import ICRecord, filename_of_creation_key
-from repro.runtime.hidden_class import HiddenClass
+from repro.runtime.hidden_class import ARRAY_ROOT_KEY, HiddenClass
 from repro.stats.counters import CATEGORY_RIC, MISS_HANDLER, MISS_OTHER, Counters
+
+
+#: The site kind each field handler serves.
+_FIELD_HANDLER_SITES = {
+    "load_field": SiteKind.NAMED_LOAD,
+    "store_field": SiteKind.NAMED_STORE,
+}
+
+
+def handler_fits(info: FeedbackSlotInfo, hc: HiddenClass, handler: Handler) -> bool:
+    """Whether a record's handler may serve ``info``'s site on ``hc``.
+
+    Validation proves a hidden class has the recorded layout; this proves
+    the handler reads what the site asks for on that layout.  Only named
+    sites take preloads: a field handler needs the site's property at its
+    offset, and an array-length load needs an array shape.
+    """
+    if handler.kind == "load_array_length":
+        return (
+            info.kind is SiteKind.NAMED_LOAD
+            and info.name == "length"
+            and _is_array_shape(hc)
+        )
+    return (
+        info.kind is _FIELD_HANDLER_SITES.get(handler.kind)
+        and hc.layout.get(info.name) == handler.offset
+    )
+
+
+def _is_array_shape(hc: HiddenClass) -> bool:
+    """Whether ``hc`` descends from the array root (arrays only)."""
+    while hc.incoming is not None:
+        hc = hc.incoming
+    return hc.creation_key == ARRAY_ROOT_KEY
 
 
 class ReuseSession:
@@ -128,8 +163,11 @@ class ReuseSession:
         if not self._file_trusted(hc.creation_key):
             return
         pairs = self.record.toast.get(hc.creation_key)
-        if pairs is None:
-            return
+        if pairs is not None:
+            self._match(hc, pairs)
+
+    def _match(self, hc: HiddenClass, pairs: list) -> None:
+        """Validate ``hc`` against its TOAST entry (the lookup is charged)."""
         if hc.creation_kind in ("builtin", "ctor"):
             for pair in pairs:
                 if pair.incoming_hcid is None:
@@ -139,6 +177,7 @@ class ReuseSession:
         incoming = hc.incoming
         if incoming is None:  # pragma: no cover - site transitions always have one
             return
+        counters = self.counters
         for pair in pairs:
             if pair.transition_property != hc.transition_property:
                 continue
@@ -152,12 +191,13 @@ class ReuseSession:
                 self._validate(pair.outgoing_hcid, hc)
                 return
         counters.ric_divergences += 1
+        self._emit_divergence(hc.creation_key, hc.index)
+
+    def _emit_divergence(self, site_key: str, hc_index: int) -> None:
         if self.tracer is not None:
             from repro.stats.tracing import RIC_DIVERGENCE
 
-            self.tracer.emit(
-                RIC_DIVERGENCE, site_key=hc.creation_key, hc_index=hc.index
-            )
+            self.tracer.emit(RIC_DIVERGENCE, site_key=site_key, hc_index=hc_index)
 
     def _file_trusted(self, key: str) -> bool:
         """Whether file-bound record information for ``key`` may be used."""
@@ -206,13 +246,24 @@ class ReuseSession:
         record reuse degrade a site the Reuse run might have kept
         polymorphic).  Megamorphic sites likewise stay untouched: the
         record stores no slots for them and they re-learn through the
-        stub cache.
+        stub cache.  A handler that does not fit the validated class
+        (:func:`handler_fits`) is refused.
         """
         if site.state is ICState.MEGAMORPHIC or len(site.slots) >= POLY_LIMIT:
             return
         if site.lookup(hc) is not None:
             return
         handler = self._materialize_handler(handler_id)
+        if self.config.validate and not handler_fits(site.info, hc, handler):
+            # A well-formed but wrong record (validate_record checks
+            # handler kinds, not what they read): installing it would
+            # make the site read another property.  The site stays
+            # cold and learns the right handler on its first miss.  The
+            # validate=False ablation stays unguarded: it is the naive
+            # scheme whose wrong reads it exists to show.
+            self.counters.ric_preloads_refused += 1
+            self._emit_divergence(site.info.site_key, hc.index)
+            return
         self.counters.charge(CATEGORY_RIC, cost.RIC_PRELOAD_SLOT)
         if not self.config.enable_handler_reuse:
             # Ablation: linking without handler reuse — the slot is still
@@ -287,22 +338,52 @@ class MultiReuseSession:
     :mod:`repro.ric.store`).
 
     Each underlying session owns its record's local HCID namespace and its
-    own validation table; a hidden-class creation event is offered to all
-    of them.  This is how per-file records extracted by *different
-    applications* compose on a single page load.
+    own validation table.  This is how per-file records extracted by
+    *different applications* compose on a single page load.
+
+    Every hidden-class creation is offered to every session: each pays
+    its TOAST lookup.  Only a session whose record lists the creation key
+    (for a trusted file) can do more than look, so the lookups are charged
+    in one add and only those sessions run the matching step, in session
+    order.  Miss classification likewise asks only the sessions whose
+    records list the site as context-dependent.  All sessions share one
+    :class:`Counters` and one config (the engine builds them that way).
     """
 
-    __slots__ = ("sessions",)
+    __slots__ = ("sessions", "counters", "_toast_index", "_cd_index")
 
     def __init__(self, sessions: list[ReuseSession]):
         self.sessions = sessions
+        self.counters = sessions[0].counters
+        #: creation key -> (session, its TOAST pairs) for every session
+        #: that may match it; None under the ``validate=False`` ablation,
+        #: which matches by creation index and so needs every session.
+        self._toast_index: "dict[str, list[tuple[ReuseSession, list]]] | None" = None
+        if sessions[0].config.validate:
+            self._toast_index = {}
+            for session in sessions:
+                for key, pairs in session.record.toast.items():
+                    if session._file_trusted(key):
+                        self._toast_index.setdefault(key, []).append((session, pairs))
+        #: site key -> sessions listing it in some row's cd_dependent_sites.
+        self._cd_index: dict[str, list[ReuseSession]] = {}
+        for session in sessions:
+            for key in set().union(*session._cd_sites_by_hcid.values()):
+                self._cd_index.setdefault(key, []).append(session)
 
     def on_hidden_class_created(self, hc: HiddenClass) -> None:
-        for session in self.sessions:
-            session.on_hidden_class_created(hc)
+        if self._toast_index is None:
+            for session in self.sessions:
+                session.on_hidden_class_created(hc)
+            return
+        count = len(self.sessions)
+        self.counters.ric_toast_lookups += count
+        self.counters.charge(CATEGORY_RIC, cost.RIC_TOAST_LOOKUP * count)
+        for session, pairs in self._toast_index.get(hc.creation_key, ()):
+            session._match(hc, pairs)
 
     def classify_miss(self, site: ICSite, hc: HiddenClass) -> str:
-        for session in self.sessions:
+        for session in self._cd_index.get(site.info.site_key, ()):
             if session.classify_miss(site, hc) == MISS_HANDLER:
                 return MISS_HANDLER
         return MISS_OTHER

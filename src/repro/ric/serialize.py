@@ -8,8 +8,13 @@ under nondeterministic initialization.
 Because a *later* execution acts on this artifact, the on-disk form is a
 hardened envelope around the payload::
 
-    {"checksum": "<sha256 of canonical payload JSON>",
-     "record": {"version": 4, "script_keys": [...], ...}}
+    {"checksum":"<sha256 of canonical payload JSON>",
+     "record":{"script_keys":[...],...,"version":5}}
+
+Writers (:func:`envelope_text`) embed the canonical payload text itself,
+so one serialization serves both the checksum and the file; readers
+re-canonicalize whatever JSON they parse, so files in the older spaced
+form load too.
 
 * the **checksum** rejects truncation, bit-flips, and hand-edits;
 * the **format version** (inside the payload, covered by the checksum)
@@ -256,10 +261,17 @@ def record_from_json(data: dict) -> ICRecord:
     return record
 
 
+def _canonical(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def payload_checksum(payload: dict) -> str:
     """SHA-256 over the canonical JSON form of a record payload."""
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return _sha256(_canonical(payload))
 
 
 def record_to_envelope(record: ICRecord, extra: dict | None = None) -> dict:
@@ -273,6 +285,20 @@ def record_to_envelope(record: ICRecord, extra: dict | None = None) -> dict:
     envelope["checksum"] = payload_checksum(payload)
     envelope["record"] = payload
     return envelope
+
+
+def envelope_text(record: ICRecord, key: str | None = None) -> str:
+    """The on-disk envelope of a record as text, serialized in one pass.
+
+    The canonical payload text is emitted once, hashed, and embedded
+    verbatim, so the stored ``record`` is exactly the text the checksum
+    covers: ``{"key":…,"checksum":"<sha256>","record":<canonical>}``
+    (``key`` only when given).  It parses to the same envelope as
+    :func:`record_to_envelope`.
+    """
+    canonical = _canonical(record_to_json(record))
+    head = "{" if key is None else '{"key":' + json.dumps(key) + ","
+    return f'{head}"checksum":"{_sha256(canonical)}","record":{canonical}}}'
 
 
 def record_from_envelope(data: dict) -> ICRecord:
@@ -308,7 +334,7 @@ def record_size_bytes(record: ICRecord) -> int:
 
 def save_icrecord(record: ICRecord, path: str | Path) -> None:
     """Persist an ICRecord to disk atomically (tmpfile + ``os.replace``)."""
-    atomic_write_text(path, json.dumps(record_to_envelope(record)))
+    atomic_write_text(path, envelope_text(record))
 
 
 def load_icrecord(path: str | Path) -> ICRecord:

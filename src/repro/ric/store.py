@@ -31,7 +31,7 @@ from repro.bytecode.cache import source_hash
 from repro.ric.atomicio import atomic_write_text, file_lock
 from repro.ric.errors import RecordFormatError
 from repro.ric.icrecord import ICRecord
-from repro.ric.serialize import record_from_envelope, record_to_envelope
+from repro.ric.serialize import envelope_text, record_from_envelope
 
 logger = logging.getLogger(__name__)
 
@@ -126,7 +126,7 @@ class RecordStore:
         The daemon's write-through path: it only ever sees the hash, not
         the source text, so the plain :meth:`put` signature cannot apply.
         """
-        text = json.dumps(record_to_envelope(record, extra={"key": key}))
+        text = envelope_text(record, key)
         with self._lock:
             self._entries[key] = record
             self._sizes[key] = len(text.encode("utf-8"))

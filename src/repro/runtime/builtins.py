@@ -20,6 +20,7 @@ import typing
 
 from repro.lang.errors import JSLTypeError
 from repro.runtime.context import Runtime
+from repro.runtime.hidden_class import ARRAY_ROOT_KEY
 from repro.runtime.objects import JSArray, JSFunction, JSObject
 from repro.runtime.values import (
     NULL,
@@ -132,7 +133,7 @@ def install_builtins(runtime: Runtime) -> None:
 
     runtime.array_hc = registry.create_root(
         "builtin",
-        "builtin:ArrayRoot",
+        ARRAY_ROOT_KEY,
         prototype=runtime.array_prototype,
         layout={},
     )

@@ -22,6 +22,10 @@ if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.objects import JSObject
 
 
+#: Creation key of the root hidden class every array starts from.
+ARRAY_ROOT_KEY = "builtin:ArrayRoot"
+
+
 class HiddenClass:
     """One hidden class.  Create only through :class:`HiddenClassRegistry`."""
 
@@ -96,9 +100,13 @@ class HiddenClassRegistry:
         #: Hook invoked with every newly created hidden class.
         self.on_created: typing.Callable[[HiddenClass], None] | None = None
 
-    def _new(self, **kwargs) -> HiddenClass:
+    def _new(self, layout: dict[str, int] | None = None, **kwargs) -> HiddenClass:
         address = self._heap.allocate("hidden_class")
         hc = HiddenClass(address=address, index=len(self.all_classes), **kwargs)
+        # The layout is complete before the hook runs: RIC validation
+        # checks preloaded handlers against it.
+        if layout:
+            hc.layout.update(layout)
         self.all_classes.append(hc)
         if self.on_created is not None:
             self.on_created(hc)
@@ -112,14 +120,12 @@ class HiddenClassRegistry:
         layout: dict[str, int] | None = None,
     ) -> HiddenClass:
         """Create a root hidden class (builtin or constructor initial map)."""
-        hc = self._new(
+        return self._new(
+            layout,
             prototype=prototype,
             creation_kind=creation_kind,
             creation_key=creation_key,
         )
-        if layout:
-            hc.layout.update(layout)
-        return hc
 
     def create_dictionary(self, prototype: "JSObject | None") -> HiddenClass:
         """The hidden class of an object demoted to dictionary mode.
@@ -146,14 +152,13 @@ class HiddenClassRegistry:
         if existing is not None:
             return existing, False
         hc = self._new(
+            {**incoming.layout, prop: len(incoming.layout)},
             prototype=incoming.prototype,
             creation_kind="site",
             creation_key=site_key,
             incoming=incoming,
             transition_property=prop,
         )
-        hc.layout.update(incoming.layout)
-        hc.layout[prop] = len(hc.layout)
         incoming.transitions[prop] = hc
         return hc, True
 

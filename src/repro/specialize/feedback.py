@@ -16,6 +16,8 @@ here round-trips through a v5 record unchanged.
 from __future__ import annotations
 
 import typing
+from itertools import compress
+from operator import itemgetter
 
 from repro.bytecode.opcodes import BinOp, Op
 from repro.ric.icrecord import (
@@ -72,6 +74,9 @@ SYNTHESIZED_MASKS: dict[int, int] = {
     int(Op.CMP_NUM_JUMP_IF_FALSE): NUMERIC_MASK,
     int(Op.CMP_NUM_JUMP_IF_TRUE): NUMERIC_MASK,
 }
+
+_BINARY = int(Op.BINARY)
+_GENERIC_CMP_OPS = frozenset((int(Op.CMP_JUMP_IF_FALSE), int(Op.CMP_JUMP_IF_TRUE)))
 
 _TYPED_ARITH_BINOP: dict[int, int] = {
     int(Op.ADD_INT): int(BinOp.ADD),
@@ -148,14 +153,22 @@ def collect_arith_feedback(
         if filename is not None and code.filename != filename:
             continue
         masks = vector.arith
-        for pc, (op, a, b) in enumerate(code.instructions):
+        instructions = code.instructions
+        # Only pcs that executed (non-zero mask) or carry a typed opcode
+        # can yield an entry; pick both out at C speed.
+        pcs = set(compress(range(len(masks)), masks))
+        pcs.update(
+            compress(
+                range(len(instructions)),
+                map(SYNTHESIZED_MASKS.__contains__, map(itemgetter(0), instructions)),
+            )
+        )
+        for pc in sorted(pcs):
+            op, a, b = instructions[pc]
             synthesized = 0
-            if op == Op.BINARY and a in ARITH_BINOPS:
+            if op == _BINARY and a in ARITH_BINOPS:
                 binop = a
-            elif (
-                op in (Op.CMP_JUMP_IF_FALSE, Op.CMP_JUMP_IF_TRUE)
-                and b in CMP_BINOPS
-            ):
+            elif op in _GENERIC_CMP_OPS and b in CMP_BINOPS:
                 binop = b
             elif op in _TYPED_ARITH_BINOP:
                 binop = _TYPED_ARITH_BINOP[op]
@@ -166,8 +179,6 @@ def collect_arith_feedback(
             else:
                 continue
             mask = masks[pc] | synthesized
-            if not mask:
-                continue  # site never executed
             key = arith_site_key(code, pc)
             if not mask & ~NUMERIC_MASK:
                 out[key] = SiteFeedback(

@@ -102,6 +102,17 @@ _CMP_VARIANTS = {
 }
 
 
+# Plain ints for the per-instruction compares in _rewrite: an ``Op.X``
+# attribute load costs more than the compare itself.
+_BINARY = int(Op.BINARY)
+_GET_PROP = int(Op.GET_PROP)
+_SET_PROP = int(Op.SET_PROP)
+_GET_PROP_SLOT = int(Op.GET_PROP_SLOT)
+_SET_PROP_SLOT = int(Op.SET_PROP_SLOT)
+_ADD = int(BinOp.ADD)
+_ADD_INT = int(Op.ADD_INT)
+
+
 def merge_site_feedback(
     records: "typing.Iterable[ICRecord]",
 ) -> dict[str, SiteFeedback]:
@@ -122,8 +133,8 @@ def merge_site_feedback(
 def _arith_replacement(binop: int, mask: int) -> int | None:
     if not mask or mask & ~NUMERIC_MASK:
         return None
-    if binop == int(BinOp.ADD) and not mask & ~FEEDBACK_INT:
-        return int(Op.ADD_INT)
+    if binop == _ADD and not mask & ~FEEDBACK_INT:
+        return _ADD_INT
     return _NUM_ARITH_OP.get(binop)
 
 
@@ -137,7 +148,7 @@ def _rewrite(
     count = 0
     for pc, (op, a, b) in enumerate(code.instructions):
         replacement: tuple[int, int, int] | None = None
-        if op == Op.BINARY and a in ARITH_BINOPS:
+        if op == _BINARY and a in ARITH_BINOPS:
             fb = feedback.get(arith_site_key(code, pc))
             if (
                 fb is not None
@@ -160,7 +171,7 @@ def _rewrite(
             ):
                 int_only = not fb.types & ~FEEDBACK_INT
                 replacement = (_CMP_VARIANTS[op][0 if int_only else 1], a, b)
-        elif op == Op.GET_PROP:
+        elif op == _GET_PROP:
             fb = feedback.get(code.feedback_slots[b].site_key)
             if (
                 fb is not None
@@ -169,8 +180,8 @@ def _rewrite(
                 and fb.offset >= 0
             ):
                 spec_table.append((a, fb.offset))
-                replacement = (int(Op.GET_PROP_SLOT), len(spec_table) - 1, b)
-        elif op == Op.SET_PROP:
+                replacement = (_GET_PROP_SLOT, len(spec_table) - 1, b)
+        elif op == _SET_PROP:
             fb = feedback.get(code.feedback_slots[b].site_key)
             if (
                 fb is not None
@@ -183,7 +194,7 @@ def _rewrite(
                 and code.names[a] != "prototype"
             ):
                 spec_table.append((a, fb.offset))
-                replacement = (int(Op.SET_PROP_SLOT), len(spec_table) - 1, b)
+                replacement = (_SET_PROP_SLOT, len(spec_table) - 1, b)
         if replacement is not None:
             if new_instructions is None:
                 new_instructions = list(code.instructions)

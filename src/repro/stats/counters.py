@@ -81,6 +81,9 @@ class Counters:
     ric_preloads: int = 0
     ric_toast_lookups: int = 0
     ric_divergences: int = 0
+    #: Preloads refused because the record's handler does not fit the
+    #: validated hidden class (a well-formed but wrong record).
+    ric_preloads_refused: int = 0
 
     #: Degradation bookkeeping: records offered to a Reuse run that were
     #: refused before any session was built.  ``corrupt`` = failed at
@@ -233,6 +236,7 @@ class Counters:
             "ric_validations": self.ric_validations,
             "ric_preloads": self.ric_preloads,
             "ric_divergences": self.ric_divergences,
+            "ric_preloads_refused": self.ric_preloads_refused,
             "ric_records_corrupt": self.ric_records_corrupt,
             "ric_records_rejected": self.ric_records_rejected,
             "ric_records_degraded": self.ric_records_degraded,

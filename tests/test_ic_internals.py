@@ -313,8 +313,11 @@ class TestICStateMachine:
         site ends up probing in the extraction-time (MRU) order."""
         _, feedback, counters, session = self._poly_record_session([2, 0, 1])
         reg = registry()
+        # Each shape holds the site's property where the record's
+        # handler reads it (the preload guard refuses anything else).
         shapes = [
-            reg.create_root("builtin", f"builtin:S{i}", None) for i in range(3)
+            reg.create_root("builtin", f"builtin:S{i}", None, layout={"x": 0})
+            for i in range(3)
         ]
         for hc in shapes:  # validate in hcid order: 0, 1, 2
             session.on_hidden_class_created(hc)
@@ -334,8 +337,11 @@ class TestICStateMachine:
         the same MRU evolution under a common probe sequence."""
         _, feedback, _, session = self._poly_record_session([2, 0, 1])
         reg = registry()
+        # Each shape holds the site's property where the record's
+        # handler reads it (the preload guard refuses anything else).
         shapes = [
-            reg.create_root("builtin", f"builtin:S{i}", None) for i in range(3)
+            reg.create_root("builtin", f"builtin:S{i}", None, layout={"x": 0})
+            for i in range(3)
         ]
         for hc in shapes:
             session.on_hidden_class_created(hc)
